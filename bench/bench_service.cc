@@ -5,34 +5,28 @@
 //   BM_ServiceJobs/1 (cached) — ServiceCore with the cache on: jobs after
 //       the first resolve by file stamp and hit the derived-model store.
 //   BM_ServiceJobs/0 (cold)   — cache off: every job re-reads the CSV,
-//       re-parses rows, re-perturbs, and re-extracts the model.
+//       re-parses rows, re-perturbs, and re-extracts both models.
 //
 // One item = one submitted job carried to its durable terminal state
 // (journal -> artifact -> done), so items_per_second is end-to-end job
 // throughput including admission and the durability I/O both legs pay
-// alike. The executor mirrors the CLI serve executor: resolve file-backed
-// inputs through ExecRequest::cache, consult the derived-model store
-// keyed by content hash, fall back to the full pipeline on miss. The
-// acceptance bar for the cache is cached >= 5x cold on this workload.
+// alike. Every job is a real `kind=compare algorithms=noise,rankswap`
+// spec run by the production executor (service/executor.h), exactly as
+// `mdc_cli serve` runs it. The acceptance bar for the cache is cached >=
+// 5x cold on this workload.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <unistd.h>
 
-#include "anonymize/perturb/perturb.h"
 #include "common/check.h"
-#include "common/csv.h"
+#include "common/metrics.h"
 #include "common/rng.h"
-#include "core/permutation_metrics.h"
-#include "core/property_matrix.h"
-#include "service/dataset_cache.h"
+#include "service/executor.h"
 #include "service/service_core.h"
-#include "table/dataset.h"
-#include "table/schema.h"
 
 namespace mdc {
 namespace {
@@ -73,65 +67,6 @@ const std::string& BenchInputPath() {
   return path;
 }
 
-// The CLI serve executor in miniature: resolve through the cache when one
-// is wired, serve repeats from the derived-model store, and produce an
-// artifact that is byte-identical on every path (the cache contract).
-service::ServiceCore::ExecResult RunBenchJob(
-    const service::ServiceCore::ExecRequest& request) {
-  service::ServiceCore::ExecResult out;
-  auto work = [&]() -> Status {
-    static const std::string kModelKey = "noise|seed=7";
-    std::shared_ptr<const Dataset> data;
-    service::DatasetCache* cache = request.cache;
-    uint64_t content_hash = 0;
-    if (cache != nullptr) {
-      MDC_ASSIGN_OR_RETURN(
-          service::DatasetCache::Resolved resolved,
-          cache->Resolve(BenchInputPath(), kSchemaSpec, ""));
-      data = resolved.data;
-      content_hash = resolved.content_hash;
-      if (std::optional<service::CachedModel> hit =
-              cache->FindModel(content_hash, kModelKey)) {
-        out.artifact = "model rows=" + std::to_string(hit->rows) + "\n";
-        return Status::Ok();
-      }
-    } else {
-      MDC_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(kSchemaSpec));
-      MDC_ASSIGN_OR_RETURN(std::string csv,
-                           ReadFileToString(BenchInputPath()));
-      MDC_ASSIGN_OR_RETURN(Dataset parsed, Dataset::FromCsv(schema, csv));
-      data = std::make_shared<const Dataset>(std::move(parsed));
-    }
-    auto counters_before = service::DatasetCache::WorkCounterSnapshot();
-    PerturbConfig config;
-    config.mechanism = PerturbMechanism::kNoise;
-    config.seed = 7;
-    MDC_ASSIGN_OR_RETURN(PerturbResult result,
-                         PerturbAnonymize(data, config, request.run));
-    MDC_ASSIGN_OR_RETURN(
-        PermutationModel model,
-        PermutationModelFor(result.anonymization, nullptr, {}, request.run));
-    if (cache != nullptr) {
-      PropertySet set;
-      set.push_back(model.privacy);
-      set.push_back(model.utility);
-      if (auto matrix = PropertyMatrix::FromSet(set); matrix.ok()) {
-        service::CachedModel cached;
-        cached.rows = model.rows;
-        cached.matrix =
-            std::make_shared<const PropertyMatrix>(std::move(matrix).value());
-        cache->PutModel(content_hash, kModelKey, cached,
-                        service::DatasetCache::WorkCounterDelta(
-                            counters_before));
-      }
-    }
-    out.artifact = "model rows=" + std::to_string(model.rows) + "\n";
-    return Status::Ok();
-  }();
-  out.status = work;
-  return out;
-}
-
 // Jobs/second through a live ServiceCore, cache on (arg 1) or off (arg 0).
 void BM_ServiceJobs(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
@@ -146,7 +81,10 @@ void BM_ServiceJobs(benchmark::State& state) {
   config.cache_enabled = cached;
   config.admission.window_capacity = 1024;
   config.admission.tenant_budget = 1024;
-  auto core = service::ServiceCore::Start(config, RunBenchJob);
+  auto core = service::ServiceCore::Start(
+      config, [](const service::ServiceCore::ExecRequest& request) {
+        return service::ExecuteJob(request, 1);
+      });
   MDC_CHECK(core.ok());
 
   uint64_t next_id = 0;
@@ -154,18 +92,25 @@ void BM_ServiceJobs(benchmark::State& state) {
     for (int j = 0; j < kJobsPerBatch; ++j) {
       service::JobSpec spec;
       spec.id = "bench-" + std::to_string(next_id++);
-      spec.kind = "report";
-      spec.cost = 1;
+      spec.kind = "compare";
+      spec.params = {{"algorithms", "noise,rankswap"},
+                     {"input", BenchInputPath()},
+                     {"schema", kSchemaSpec},
+                     {"seed", "7"}};
       auto decision = (*core)->Submit(spec);
       MDC_CHECK(decision.ok() &&
                 *decision == service::AdmitDecision::kAdmitted);
     }
     (*core)->WaitIdle();
   }
+  for (const JobOutcome& outcome : (*core)->Outcomes()) {
+    MDC_CHECK(outcome.state == JobState::kOk);
+  }
   if (cached) {
     // The leg measured what it claims: repeats were served resident.
     MDC_CHECK((*core)->cache() != nullptr);
     MDC_CHECK((*core)->cache()->GetStats().hits > 0);
+    MDC_CHECK(metrics::Snapshot().counters["svc.cache.model_hits"] > 0);
   }
   MDC_CHECK((*core)->Drain().ok());
   core->reset();

@@ -11,11 +11,15 @@
 //   example_mdc_cli compare --input data.csv --schema <spec>
 //       --hierarchies spec.txt --k 3 --algorithms datafly,mondrian
 //
-// `perturb` releases numeric quasi-identifiers through a perturbative
-// (non-generalization) mechanism and prints the permutation-model summary
-// (docs/permutation.md) on stderr. `compare` with more than two names, or
-// with any perturbative mechanism in the list, ranks all releases under
-// the permutation paradigm instead of the two-release report.
+// The three commands are jobs of the library executor
+// (service/executor.h): their flags become the job's params (dashes read
+// as underscores), and the artifact goes to stdout or, durably, to
+// --output. `perturb` releases numeric quasi-identifiers through a
+// perturbative (non-generalization) mechanism and prints the
+// permutation-model summary (docs/permutation.md) on stderr. `compare`
+// with more than two names, or with any perturbative mechanism in the
+// list, ranks all releases under the permutation paradigm instead of the
+// two-release report.
 //   example_mdc_cli batch --jobs jobs.csv --checkpoint-dir out
 //       [--max-retries 2] [--backoff-ms 10]
 //
@@ -31,9 +35,10 @@
 // max_steps) under the supervised batch runner: transient failures are
 // retried with backoff, deterministic failures are quarantined, and the
 // batch checkpoints into --checkpoint-dir so a killed run resumes at the
-// first incomplete job. Job releases are written durably to
-// <checkpoint-dir>/<id>.csv. SIGINT/SIGTERM abort the batch at the next
-// job boundary with the checkpoint durable (exit code 3, "interrupted").
+// first incomplete job. Each row is an anonymize job of the executor;
+// releases are written durably to <checkpoint-dir>/<id>.csv. SIGINT/SIGTERM
+// abort the batch at the next job boundary with the checkpoint durable
+// (exit code 3, "interrupted").
 //
 //   example_mdc_cli serve --state-dir <dir> [--window-capacity <n>]
 //       [--tenant-budget <n>] [--quantum <n>] [--default-deadline-ms <ms>]
@@ -44,10 +49,11 @@
 // protocol on stdin/stdout (`submit <id> key=value ...`, `status`, `wait`,
 // `drain`, `metrics`, `cache stats|clear`), durable job journal +
 // artifacts under --state-dir, crash recovery on restart, graceful drain
-// on SIGTERM/SIGINT or EOF. File-backed job inputs are served from a
-// resident dataset cache (--cache-bytes budget, --no-cache to disable,
-// per-job `cache=off` to opt one job out); artifacts and deterministic
-// counters are byte-identical with the cache on or off.
+// on SIGTERM/SIGINT or EOF. Jobs run through the same executor as the
+// commands above. File-backed job inputs are served from a resident
+// dataset cache (--cache-bytes budget, --no-cache to disable, per-job
+// `cache=off` to opt one job out); artifacts and deterministic counters
+// are byte-identical with the cache on or off.
 //
 // The MDC_FAILPOINTS environment variable arms fault-injection sites in
 // any command (see common/failpoint.h) — the kill-torture harness uses it
@@ -59,23 +65,19 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "anonymize/clustering.h"
 #include "anonymize/datafly.h"
 #include "anonymize/mondrian.h"
-#include "anonymize/optimal_lattice.h"
-#include "anonymize/perturb/perturb.h"
-#include "anonymize/samarati.h"
 #include "common/cpu_dispatch.h"
 #include "common/csv.h"
 #include "common/durable_io.h"
@@ -84,14 +86,10 @@
 #include "common/run_context.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "common/text_table.h"
 #include "core/batch_runner.h"
-#include "core/permutation_metrics.h"
-#include "core/property_matrix.h"
 #include "core/report.h"
-#include "hierarchy/spec_parser.h"
 #include "paper/paper_data.h"
-#include "privacy/k_anonymity.h"
+#include "service/executor.h"
 #include "service/service_core.h"
 #include "service/transport.h"
 
@@ -107,7 +105,6 @@ constexpr const char* kUsageHint =
     "[--mechanism <noise|rankswap|microagg>] [--seed <n>] "
     "[--noise-scale <frac>] [--swap-window <frac>] "
     "[--deadline-ms <ms>] [--max-steps <n>] [--threads <n>] "
-    "[--compare-engine <scalar|packed>] "
     "[--metrics-out <file>] [--trace-out <file>] | batch "
     "--jobs <spec.csv> --checkpoint-dir <dir> [--max-retries <n>] "
     "[--backoff-ms <ms>] | serve --state-dir <dir> "
@@ -117,16 +114,20 @@ constexpr const char* kUsageHint =
     "[--net-read-deadline-ms <ms>] [--net-idle-deadline-ms <ms>] "
     "[--net-write-deadline-ms <ms>] [--cache-bytes <n>] [--no-cache]";
 
-constexpr const char* kKnownFlags[] = {
-    "input",       "schema",      "hierarchies",    "algorithm",
-    "algorithms",  "k",           "output",         "max-steps",
-    "deadline-ms", "max-suppression", "jobs",       "checkpoint-dir",
-    "max-retries", "backoff-ms",  "threads",        "metrics-out",
-    "trace-out",   "compare-engine",                "state-dir",
-    "mechanism",   "seed",        "noise-scale",    "swap-window",
-    "window-capacity", "tenant-budget", "quantum",
-    "default-deadline-ms",
-    "listen",      "max-connections", "max-line-bytes",
+// Flags of the anonymize|perturb|compare commands that are job params.
+constexpr const char* kJobFlags[] = {
+    "input",      "schema", "hierarchies",     "algorithm",
+    "algorithms", "k",      "max-suppression", "mechanism",
+    "seed",       "noise-scale", "swap-window"};
+
+// Every other flag that takes a value.
+constexpr const char* kOtherFlags[] = {
+    "output",          "max-steps",       "deadline-ms",
+    "jobs",            "checkpoint-dir",  "max-retries",
+    "backoff-ms",      "threads",         "metrics-out",
+    "trace-out",       "state-dir",       "window-capacity",
+    "tenant-budget",   "quantum",         "default-deadline-ms",
+    "listen",          "max-connections", "max-line-bytes",
     "net-read-deadline-ms", "net-idle-deadline-ms",
     "net-write-deadline-ms", "cache-bytes"};
 
@@ -197,25 +198,12 @@ StatusOr<CliArgs> ParseArgs(int argc, char** argv) {
                                      kUsageHint);
     }
     key = key.substr(2);
-    bool boolean = false;
-    for (const char* flag : kBoolFlags) {
-      if (key == flag) {
-        boolean = true;
-        break;
-      }
-    }
-    if (boolean) {
+    if (std::ranges::find(kBoolFlags, key) != std::end(kBoolFlags)) {
       args.flags[key] = "1";
       continue;
     }
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (key == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    if (std::ranges::find(kJobFlags, key) == std::end(kJobFlags) &&
+        std::ranges::find(kOtherFlags, key) == std::end(kOtherFlags)) {
       return Status::InvalidArgument("unknown flag '--" + key + "'; " +
                                      kUsageHint);
     }
@@ -226,326 +214,6 @@ StatusOr<CliArgs> ParseArgs(int argc, char** argv) {
     args.flags[key] = argv[++i];
   }
   return args;
-}
-
-// The inline "name:type:role,..." grammar lives in table/schema.h now so
-// the service's dataset cache parses it identically (error-message parity
-// between cached and uncached loads).
-StatusOr<Schema> ParseSchemaFlag(const std::string& spec) {
-  return ParseSchemaSpec(spec);
-}
-
-// Per-job view of the serve command's resident dataset cache; inert
-// (cache == nullptr / !active) for every other command. When a job's
-// inputs were resolved through the cache, `resolved` keys the shared
-// encoded bundle and the derived-model store. `derived_ok` additionally
-// gates the counter-replaying model store to jobs with no budget and no
-// resume checkpoint — a budget could truncate the build, and cached
-// models must only ever stand in for complete work.
-struct JobCacheContext {
-  service::DatasetCache* cache = nullptr;
-  bool active = false;
-  bool derived_ok = false;
-  service::DatasetCache::Resolved resolved;
-  // Raw algorithm knobs ("|k|max_suppression|seed|noise_scale|
-  // swap_window"), appended to the release name to key derived models.
-  std::string key_suffix;
-
-  // The entry's shared dictionary-encode bundle, or null when inactive or
-  // the build failed (callers then build fresh, so the failing Status
-  // surfaces exactly where it does without a cache).
-  std::shared_ptr<const EncodedBundle> EncodedOrNull() const {
-    if (!active) return nullptr;
-    auto bundle_or = cache->Encoded(resolved);
-    if (!bundle_or.ok()) return nullptr;
-    return std::move(bundle_or).value();
-  }
-};
-
-struct NamedRelease {
-  Anonymization anonymization;
-  EquivalencePartition partition;
-  RunStats run_stats;
-};
-
-StatusOr<NamedRelease> RunAlgorithm(const std::string& algorithm,
-                                    std::shared_ptr<const Dataset> data,
-                                    const HierarchySet& hierarchies, int k,
-                                    double max_suppression,
-                                    RunContext* run = nullptr,
-                                    int threads = 1,
-                                    const JobCacheContext* jc = nullptr) {
-  SuppressionBudget budget{max_suppression};
-  if (algorithm == "datafly") {
-    DataflyConfig config{k, budget};
-    MDC_ASSIGN_OR_RETURN(auto result,
-                         DataflyAnonymize(data, hierarchies, config, run));
-    return NamedRelease{std::move(result.evaluation.anonymization),
-                        std::move(result.evaluation.partition),
-                        result.run_stats};
-  }
-  if (algorithm == "samarati") {
-    SamaratiConfig config{k, budget};
-    config.threads = threads;
-    if (jc != nullptr) config.encoded = jc->EncodedOrNull();
-    MDC_ASSIGN_OR_RETURN(
-        auto result,
-        SamaratiAnonymize(data, hierarchies, config, ProxyLoss, run));
-    return NamedRelease{std::move(result.best.anonymization),
-                        std::move(result.best.partition), result.run_stats};
-  }
-  if (algorithm == "optimal") {
-    OptimalSearchConfig config;
-    config.k = k;
-    config.suppression = budget;
-    config.threads = threads;
-    if (jc != nullptr) config.encoded = jc->EncodedOrNull();
-    MDC_ASSIGN_OR_RETURN(
-        auto result,
-        OptimalLatticeSearch(data, hierarchies, config, ProxyLoss, run));
-    return NamedRelease{std::move(result.best.anonymization),
-                        std::move(result.best.partition), result.run_stats};
-  }
-  if (algorithm == "mondrian") {
-    MondrianConfig config{k};
-    MDC_ASSIGN_OR_RETURN(auto result, MondrianAnonymize(data, config, run));
-    return NamedRelease{std::move(result.anonymization),
-                        std::move(result.partition), result.run_stats};
-  }
-  if (algorithm == "cluster") {
-    ClusteringConfig config{k};
-    MDC_ASSIGN_OR_RETURN(auto result,
-                         KMemberClusterAnonymize(data, config, run));
-    return NamedRelease{std::move(result.anonymization),
-                        std::move(result.partition), result.run_stats};
-  }
-  return Status::InvalidArgument("unknown algorithm '" + algorithm +
-                                 "' (datafly|samarati|optimal|mondrian|"
-                                 "cluster)");
-}
-
-// Collects the perturbation knobs from a job param map (batch/service
-// spelling: noise_scale, swap_window) into a PerturbConfig. `k` doubles as
-// the microaggregation group size so one flag serves both families.
-StatusOr<PerturbConfig> PerturbConfigFromJobParams(
-    const std::map<std::string, std::string>& params, int k) {
-  std::map<std::string, std::string> knobs;
-  for (const char* key : {"mechanism", "seed", "noise_scale", "swap_window"}) {
-    auto it = params.find(key);
-    if (it != params.end()) knobs[key] = it->second;
-  }
-  MDC_ASSIGN_OR_RETURN(PerturbConfig config, PerturbConfigFromParams(knobs));
-  if (k >= 2) config.k = k;
-  return config;
-}
-
-// Same knobs from CLI flags (dashed spelling: --noise-scale, --swap-window).
-StatusOr<PerturbConfig> PerturbConfigFromFlags(
-    const std::map<std::string, std::string>& flags, int k) {
-  std::map<std::string, std::string> params;
-  static constexpr const char* kPairs[][2] = {{"mechanism", "mechanism"},
-                                              {"seed", "seed"},
-                                              {"noise-scale", "noise_scale"},
-                                              {"swap-window", "swap_window"}};
-  for (const auto& pair : kPairs) {
-    auto it = flags.find(pair[0]);
-    if (it != flags.end()) params[pair[1]] = it->second;
-  }
-  MDC_ASSIGN_OR_RETURN(PerturbConfig config, PerturbConfigFromParams(params));
-  if (k >= 2) config.k = k;
-  return config;
-}
-
-// One release under either backend family, reduced to its permutation
-// model: perturbative mechanisms run directly; generalization algorithms
-// run through RunAlgorithm and reverse-map via their equivalence
-// partition. The model's property vectors are renamed after the release
-// so a PropertyMatrix row carries the algorithm it scores.
-struct ModeledRelease {
-  std::string name;
-  PermutationModel model;
-  bool truncated = false;
-};
-
-StatusOr<ModeledRelease> ModelRelease(const std::string& name,
-                                      std::shared_ptr<const Dataset> data,
-                                      const HierarchySet& hierarchies, int k,
-                                      double max_suppression,
-                                      const PerturbConfig& perturb_base,
-                                      RunContext* run, int threads,
-                                      const JobCacheContext* jc = nullptr) {
-  ModeledRelease out;
-  out.name = name;
-  // Derived-model store: a hit returns the resident property vectors and
-  // replays the deterministic-counter delta the skipped build would have
-  // charged (see service/dataset_cache.h) — artifacts AND counters stay
-  // byte-identical with the cache off.
-  const bool cache_models = jc != nullptr && jc->derived_ok;
-  std::string model_key;
-  if (cache_models) {
-    model_key = name + jc->key_suffix;
-    if (std::optional<service::CachedModel> cached =
-            jc->cache->FindModel(jc->resolved.content_hash, model_key)) {
-      out.model.rows = cached->rows;
-      out.model.privacy = cached->matrix->ToVector(0);
-      out.model.utility = cached->matrix->ToVector(1);
-      return out;
-    }
-  }
-  std::map<std::string, uint64_t> counters_before;
-  if (cache_models) {
-    counters_before = service::DatasetCache::WorkCounterSnapshot();
-  }
-  PermutationMetricsOptions metric_options;
-  metric_options.threads = threads;
-  if (IsPerturbMechanismName(name)) {
-    PerturbConfig config = perturb_base;
-    MDC_ASSIGN_OR_RETURN(config.mechanism, ParsePerturbMechanism(name));
-    config.threads = threads;
-    MDC_ASSIGN_OR_RETURN(PerturbResult result,
-                         PerturbAnonymize(data, config, run));
-    out.truncated = result.run_stats.truncated;
-    MDC_ASSIGN_OR_RETURN(out.model,
-                         PermutationModelFor(result.anonymization, nullptr,
-                                             metric_options, run));
-  } else {
-    MDC_ASSIGN_OR_RETURN(NamedRelease release,
-                         RunAlgorithm(name, data, hierarchies, k,
-                                      max_suppression, run, threads, jc));
-    out.truncated = release.run_stats.truncated;
-    MDC_ASSIGN_OR_RETURN(
-        out.model, PermutationModelFor(release.anonymization,
-                                       &release.partition, metric_options,
-                                       run));
-  }
-  out.model.privacy = PropertyVector(name + "-privacy",
-                                     out.model.privacy.values());
-  out.model.utility = PropertyVector(name + "-utility",
-                                     out.model.utility.values());
-  if (cache_models && !out.truncated) {
-    PropertySet set;
-    set.push_back(out.model.privacy);
-    set.push_back(out.model.utility);
-    if (auto matrix_or = PropertyMatrix::FromSet(set); matrix_or.ok()) {
-      service::CachedModel cached;
-      cached.rows = out.model.rows;
-      cached.matrix = std::make_shared<const PropertyMatrix>(
-          std::move(matrix_or).value());
-      jc->cache->PutModel(
-          jc->resolved.content_hash, model_key, cached,
-          service::DatasetCache::WorkCounterDelta(counters_before));
-    }
-  }
-  return out;
-}
-
-// Cross-family comparison under the permutation paradigm: every release
-// (perturbative or generalization) is reduced to its two Def.-1 property
-// vectors, packed into a PropertyMatrix per dimension, and ranked with the
-// Table-4 all-pairs engine. The report is a pure function of the inputs
-// (no timings), so service artifacts stay crash-recovery deterministic.
-StatusOr<std::string> PermutationCompareReport(
-    const std::vector<std::string>& names,
-    std::shared_ptr<const Dataset> data, const HierarchySet& hierarchies,
-    int k, double max_suppression, const PerturbConfig& perturb_base,
-    CompareEngine engine, int threads, RunContext* run,
-    bool* truncated = nullptr, const JobCacheContext* jc = nullptr) {
-  if (names.size() < 2) {
-    return Status::InvalidArgument(
-        "permutation comparison needs at least two algorithm names");
-  }
-  std::vector<ModeledRelease> releases;
-  for (const std::string& name : names) {
-    MDC_ASSIGN_OR_RETURN(ModeledRelease modeled,
-                         ModelRelease(name, data, hierarchies, k,
-                                      max_suppression, perturb_base, run,
-                                      threads, jc));
-    if (truncated != nullptr && modeled.truncated) *truncated = true;
-    releases.push_back(std::move(modeled));
-  }
-
-  std::string text = "permutation comparison (" +
-                     std::to_string(releases.size()) + " releases, N=" +
-                     std::to_string(releases.front().model.rows) + ")\n";
-  TextTable summary;
-  summary.SetHeader({"release", "mean_privacy", "mean_utility"});
-  for (const ModeledRelease& release : releases) {
-    summary.AddRow({release.name,
-                    FormatDouble(release.model.privacy.Mean(), 4),
-                    FormatDouble(release.model.utility.Mean(), 4)});
-  }
-  text += summary.Render();
-
-  // Dominance wins per release across both dimensions — the ranking the
-  // acceptance gate reads.
-  std::vector<int> wins(releases.size(), 0);
-  for (const bool privacy_dimension : {true, false}) {
-    const std::string dimension = privacy_dimension ? "privacy" : "utility";
-    PropertySet set;
-    for (const ModeledRelease& release : releases) {
-      set.push_back(privacy_dimension ? release.model.privacy
-                                      : release.model.utility);
-    }
-    MDC_ASSIGN_OR_RETURN(PropertyMatrix matrix, PropertyMatrix::FromSet(set));
-    AllPairsOptions options;
-    options.engine = engine;
-    options.threads = threads;
-    // Ideal point: normalized displacement (and its complement) live in
-    // [0, 1], so the all-ones vector is the per-dimension optimum.
-    options.d_max = PropertyVector(
-        "ideal", std::vector<double>(matrix.cols(), 1.0));
-    MDC_ASSIGN_OR_RETURN(AllPairsResult pairs,
-                         AllPairsCompare(matrix, options, run));
-    TextTable table;
-    table.SetHeader({"pair (" + dimension + ")", "relation", "cov12", "cov21",
-                     "spr12", "spr21"});
-    for (const PairComparison& pair : pairs.pairs) {
-      table.AddRow({releases[pair.first].name + " vs " +
-                        releases[pair.second].name,
-                    DominanceRelationName(pair.relation),
-                    FormatDouble(pair.cov12, 4), FormatDouble(pair.cov21, 4),
-                    FormatDouble(pair.spr12, 4),
-                    FormatDouble(pair.spr21, 4)});
-      if (pair.relation == DominanceRelation::kFirstDominates) {
-        ++wins[pair.first];
-      } else if (pair.relation == DominanceRelation::kSecondDominates) {
-        ++wins[pair.second];
-      }
-    }
-    text += table.Render();
-    TextTable ranks;
-    ranks.SetHeader({"release", "P_rank(" + dimension + ")"});
-    for (size_t r = 0; r < releases.size(); ++r) {
-      ranks.AddRow({releases[r].name, FormatDouble(pairs.ranks[r], 4)});
-    }
-    text += ranks.Render();
-  }
-  for (size_t r = 0; r < releases.size(); ++r) {
-    text += "dominance wins: " + releases[r].name + "=" +
-            std::to_string(wins[r]) + "\n";
-  }
-  return text;
-}
-
-Status LoadInputs(const CliArgs& args,
-                  std::shared_ptr<const Dataset>& data,
-                  HierarchySet& hierarchies) {
-  auto schema_flag = args.flags.find("schema");
-  auto input_flag = args.flags.find("input");
-  if (schema_flag == args.flags.end() || input_flag == args.flags.end()) {
-    return Status::InvalidArgument("--schema and --input are required");
-  }
-  MDC_ASSIGN_OR_RETURN(Schema schema, ParseSchemaFlag(schema_flag->second));
-  MDC_ASSIGN_OR_RETURN(std::string csv,
-                       ReadFileToString(input_flag->second));
-  MDC_ASSIGN_OR_RETURN(Dataset parsed, Dataset::FromCsv(schema, csv));
-  data = std::make_shared<const Dataset>(std::move(parsed));
-  if (auto it = args.flags.find("hierarchies"); it != args.flags.end()) {
-    MDC_ASSIGN_OR_RETURN(std::string spec, ReadFileToString(it->second));
-    MDC_ASSIGN_OR_RETURN(hierarchies,
-                         ParseHierarchySpec(data->schema(), spec));
-  }
-  return Status::Ok();
 }
 
 int Fail(const Status& status) {
@@ -578,114 +246,66 @@ struct ObservabilitySinks {
   }
 };
 
-// Both the batch runner (BatchJob.params) and the service (JobSpec.params)
-// describe work as string key=value maps; the helpers below resolve them
-// identically so a job behaves the same whichever path runs it.
-using ParamMap = std::map<std::string, std::string>;
-
-std::string GetParam(const ParamMap& params, const std::string& key) {
-  auto it = params.find(key);
-  return it == params.end() ? std::string() : it->second;
-}
-
-// dataset=table1 (the paper's Table 1, the default) or input+schema
-// [+hierarchies] files.
-Status LoadJobInputs(const ParamMap& params, const std::string& label,
-                     std::shared_ptr<const Dataset>& data,
-                     HierarchySet& hierarchies) {
-  std::string dataset = GetParam(params, "dataset");
-  if (dataset == "table1" ||
-      (dataset.empty() && GetParam(params, "input").empty())) {
-    MDC_ASSIGN_OR_RETURN(data, paper::Table1());
-    MDC_ASSIGN_OR_RETURN(hierarchies, paper::HierarchySetA());
-    return Status::Ok();
+// Parses integer flag --<flag>, when present, into `out`. Values below
+// `min` or outside T's range are InvalidArgument("bad --<flag>").
+template <typename T>
+Status IntFlag(const CliArgs& args, const char* flag, int64_t min, T& out) {
+  auto it = args.flags.find(flag);
+  if (it == args.flags.end()) return Status::Ok();
+  std::optional<int64_t> parsed = ParseInt64(it->second);
+  if (!parsed.has_value() || *parsed < min || !std::in_range<T>(*parsed)) {
+    return Status::InvalidArgument(std::string("bad --") + flag);
   }
-  if (!dataset.empty()) {
-    return Status::InvalidArgument(label + ": unknown dataset '" + dataset +
-                                   "' (table1 or input+schema)");
-  }
-  MDC_ASSIGN_OR_RETURN(Schema schema,
-                       ParseSchemaFlag(GetParam(params, "schema")));
-  MDC_ASSIGN_OR_RETURN(std::string csv,
-                       ReadFileToString(GetParam(params, "input")));
-  MDC_ASSIGN_OR_RETURN(Dataset parsed, Dataset::FromCsv(schema, csv));
-  data = std::make_shared<const Dataset>(std::move(parsed));
-  if (!GetParam(params, "hierarchies").empty()) {
-    MDC_ASSIGN_OR_RETURN(std::string spec,
-                         ReadFileToString(GetParam(params, "hierarchies")));
-    MDC_ASSIGN_OR_RETURN(hierarchies,
-                         ParseHierarchySpec(data->schema(), spec));
-  }
+  out = static_cast<T>(*parsed);
   return Status::Ok();
 }
 
-// LoadJobInputs routed through the resident dataset cache when the serve
-// command has one and the job is file-backed (`dataset=table1` never
-// touches disk, so there is nothing to cache; per-job `cache=off` opts
-// out). Falls through to the plain loader otherwise, so batch jobs and a
-// --no-cache service behave exactly as before.
-Status ResolveJobInputs(const ParamMap& params, const std::string& label,
-                        service::DatasetCache* cache,
-                        std::shared_ptr<const Dataset>& data,
-                        HierarchySet& hierarchies, JobCacheContext& jc) {
-  const bool file_backed = GetParam(params, "dataset").empty() &&
-                           !GetParam(params, "input").empty();
-  if (cache == nullptr || !file_backed || GetParam(params, "cache") == "off") {
-    return LoadJobInputs(params, label, data, hierarchies);
+// anonymize | perturb | compare: one executor job built from the flags.
+int RunJobCommand(const CliArgs& args) {
+  if (args.flags.count("schema") == 0 || args.flags.count("input") == 0) {
+    return Fail(Status::InvalidArgument("--schema and --input are required"));
   }
-  MDC_ASSIGN_OR_RETURN(jc.resolved,
-                       cache->Resolve(GetParam(params, "input"),
-                                      GetParam(params, "schema"),
-                                      GetParam(params, "hierarchies")));
-  jc.cache = cache;
-  jc.active = true;
-  data = jc.resolved.data;
-  hierarchies = jc.resolved.hierarchies;
-  return Status::Ok();
-}
+  // <= 0 threads means one worker per hardware thread; results are
+  // identical for any value (docs/performance.md).
+  int threads = 1;
+  int64_t deadline_ms = 0;
+  uint64_t max_steps = 0;
+  for (Status status :
+       {IntFlag(args, "threads", std::numeric_limits<int64_t>::min(), threads),
+        IntFlag(args, "deadline-ms", 1, deadline_ms),
+        IntFlag(args, "max-steps", 1, max_steps)}) {
+    if (!status.ok()) return Fail(status);
+  }
+  RunContext run_context;
+  if (deadline_ms > 0) run_context.set_deadline_ms(deadline_ms);
+  if (max_steps > 0) run_context.set_max_steps(max_steps);
 
-Status ParseJobKnobs(const ParamMap& params, const std::string& label,
-                     int& k, double& max_suppression) {
-  k = 2;
-  max_suppression = 0.0;
-  if (!GetParam(params, "k").empty()) {
-    auto parsed = ParseInt64(GetParam(params, "k"));
-    if (!parsed.has_value()) {
-      return Status::InvalidArgument(label + ": bad k");
+  service::JobSpec spec;
+  spec.kind = args.command;
+  for (const char* flag : kJobFlags) {
+    if (auto it = args.flags.find(flag); it != args.flags.end()) {
+      std::string key = flag;
+      std::replace(key.begin(), key.end(), '-', '_');
+      spec.params[key] = it->second;
     }
-    k = static_cast<int>(*parsed);
   }
-  if (!GetParam(params, "max_suppression").empty()) {
-    auto parsed = ParseDouble(GetParam(params, "max_suppression"));
-    if (!parsed.has_value()) {
-      return Status::InvalidArgument(label + ": bad max_suppression");
+  std::string summary;
+  service::ServiceCore::ExecResult result = service::ExecuteJob(
+      {spec, run_context.bounded() ? &run_context : nullptr, {}, nullptr},
+      threads, &summary);
+  if (!result.status.ok()) return Fail(result.status);
+  std::fprintf(stderr, "%s", summary.c_str());
+  if (auto it = args.flags.find("output"); it != args.flags.end()) {
+    // Durable: a crash mid-write leaves either the old file or the new
+    // one, never a torn release.
+    if (Status status = DurableWriteFile(it->second, result.artifact);
+        !status.ok()) {
+      return Fail(status);
     }
-    max_suppression = *parsed;
+  } else {
+    std::printf("%s", result.artifact.c_str());
   }
-  return Status::Ok();
-}
-
-// Executes one batch job: resolves its dataset/hierarchies/algorithm from
-// params, runs it under the job's RunContext, and durably writes the
-// release next to the batch checkpoint.
-Status ExecuteBatchJob(const BatchJob& job, const std::string& artifact_dir,
-                       RunContext* run) {
-  std::string label = "job " + job.id;
-  std::string algorithm = GetParam(job.params, "algorithm");
-  if (algorithm.empty()) {
-    return Status::InvalidArgument(label + ": missing `algorithm` column");
-  }
-  std::shared_ptr<const Dataset> data;
-  HierarchySet hierarchies;
-  MDC_RETURN_IF_ERROR(LoadJobInputs(job.params, label, data, hierarchies));
-  int k = 2;
-  double max_suppression = 0.0;
-  MDC_RETURN_IF_ERROR(ParseJobKnobs(job.params, label, k, max_suppression));
-  MDC_ASSIGN_OR_RETURN(
-      NamedRelease release,
-      RunAlgorithm(algorithm, data, hierarchies, k, max_suppression, run));
-  return DurableWriteFile(artifact_dir + "/" + job.id + ".csv",
-                          release.anonymization.release.ToCsv());
+  return 0;
 }
 
 int RunBatchCommand(const CliArgs& args) {
@@ -706,19 +326,10 @@ int RunBatchCommand(const CliArgs& args) {
 
   BatchRunnerConfig config;
   config.checkpoint_path = dir + "/batch_checkpoint.bin";
-  if (auto it = args.flags.find("max-retries"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 0) {
-      return Fail(Status::InvalidArgument("bad --max-retries"));
-    }
-    config.max_retries = static_cast<int>(*parsed);
-  }
-  if (auto it = args.flags.find("backoff-ms"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 0) {
-      return Fail(Status::InvalidArgument("bad --backoff-ms"));
-    }
-    config.backoff_base_ms = *parsed;
+  for (Status status : {IntFlag(args, "max-retries", 0, config.max_retries),
+                        IntFlag(args, "backoff-ms", 0,
+                                config.backoff_base_ms)}) {
+    if (!status.ok()) return Fail(status);
   }
 
   auto spec_or = ReadFileToString(jobs_flag->second);
@@ -732,10 +343,25 @@ int RunBatchCommand(const CliArgs& args) {
   config.cancellation = InterruptToken();
   InstallSignalHandlers();
 
+  // Each row is an anonymize job; its release lands next to the batch
+  // checkpoint.
   auto result = RunBatch(
       *jobs_or,
-      [&dir](const BatchJob& job, RunContext* run) {
-        return ExecuteBatchJob(job, dir, run);
+      [&dir](const BatchJob& job, RunContext* run) -> Status {
+        auto algorithm = job.params.find("algorithm");
+        if (algorithm == job.params.end() || algorithm->second.empty()) {
+          return Status::InvalidArgument("job " + job.id +
+                                         ": missing `algorithm` column");
+        }
+        service::JobSpec spec;
+        spec.id = job.id;
+        spec.kind = "anonymize";
+        spec.params = job.params;
+        service::ServiceCore::ExecResult executed =
+            service::ExecuteJob({spec, run, {}, nullptr}, 1);
+        if (!executed.status.ok()) return executed.status;
+        return DurableWriteFile(dir + "/" + job.id + ".csv",
+                                executed.artifact);
       },
       config);
   if (!result.ok()) return Fail(result.status());
@@ -750,198 +376,6 @@ int RunBatchCommand(const CliArgs& args) {
                result->CountState(JobState::kQuarantined) == 0 &&
                result->CountState(JobState::kExhausted) == 0;
   return clean ? 0 : 1;
-}
-
-// One service-job attempt. anonymize -> release CSV; perturb -> the
-// perturbative release CSV; compare -> the comparison report text (the
-// permutation-paradigm report when the list is cross-family or wider than
-// two); report -> release text + achieved-k or permutation summary.
-// All kinds are deterministic functions of the spec (no timings in the
-// artifact), which is what makes crash recovery byte-identical. The
-// optimal search and the perturbation sweep thread their Checkpointable
-// state through resume_checkpoint so a drained job resumes mid-sweep.
-service::ServiceCore::ExecResult ExecuteServiceJob(
-    const service::ServiceCore::ExecRequest& request, int threads,
-    bool service_unbudgeted) {
-  const service::JobSpec& spec = request.spec;
-  RunContext* run = request.run;
-  std::string_view resume_checkpoint = request.resume_checkpoint;
-  service::ServiceCore::ExecResult out;
-  std::string label = "job " + spec.id;
-  JobCacheContext jc;
-  out.status = [&]() -> Status {
-    std::shared_ptr<const Dataset> data;
-    HierarchySet hierarchies;
-    MDC_RETURN_IF_ERROR(ResolveJobInputs(spec.params, label, request.cache,
-                                         data, hierarchies, jc));
-    // The derived-model store may only stand in for work that is provably
-    // complete and repeatable: no deadline or step budget anywhere (a
-    // budget can truncate the build) and no checkpoint resume (the replayed
-    // counter delta must match a from-scratch build).
-    jc.derived_ok = jc.active && service_unbudgeted &&
-                    spec.deadline_ms == 0 && spec.max_steps == 0 &&
-                    resume_checkpoint.empty();
-    jc.key_suffix = "|" + GetParam(spec.params, "k") + "|" +
-                    GetParam(spec.params, "max_suppression") + "|" +
-                    GetParam(spec.params, "seed") + "|" +
-                    GetParam(spec.params, "noise_scale") + "|" +
-                    GetParam(spec.params, "swap_window");
-    int k = 2;
-    double max_suppression = 0.0;
-    MDC_RETURN_IF_ERROR(
-        ParseJobKnobs(spec.params, label, k, max_suppression));
-    if (spec.kind == "anonymize") {
-      std::string algorithm = GetParam(spec.params, "algorithm");
-      if (algorithm.empty()) algorithm = "mondrian";
-      if (algorithm == "optimal") {
-        OptimalLatticeCheckpoint checkpoint;
-        if (!resume_checkpoint.empty()) {
-          MDC_RETURN_IF_ERROR(checkpoint.ResumeFrom(resume_checkpoint));
-        }
-        OptimalSearchConfig config;
-        config.k = k;
-        config.suppression = SuppressionBudget{max_suppression};
-        config.threads = threads;
-        config.encoded = jc.EncodedOrNull();
-        auto result = OptimalLatticeSearch(data, hierarchies, config,
-                                           ProxyLoss, run, &checkpoint);
-        if (checkpoint.has_state()) {
-          // Budget expiry (drain, deadline, steps) captured the sweep
-          // position; hand it to the service for the next attempt/life.
-          if (auto bytes = checkpoint.SaveCheckpoint(); bytes.ok()) {
-            out.checkpoint = std::move(bytes).value();
-          }
-        }
-        if (!result.ok()) return result.status();
-        out.truncated = result->run_stats.truncated;
-        out.artifact = result->best.anonymization.release.ToCsv();
-        return Status::Ok();
-      }
-      MDC_ASSIGN_OR_RETURN(NamedRelease release,
-                           RunAlgorithm(algorithm, data, hierarchies, k,
-                                        max_suppression, run, threads, &jc));
-      out.truncated = release.run_stats.truncated;
-      out.artifact = release.anonymization.release.ToCsv();
-      return Status::Ok();
-    }
-
-    if (spec.kind == "perturb") {
-      MDC_ASSIGN_OR_RETURN(PerturbConfig config,
-                           PerturbConfigFromJobParams(spec.params, k));
-      config.threads = threads;
-      PerturbCheckpoint checkpoint;
-      if (!resume_checkpoint.empty()) {
-        MDC_RETURN_IF_ERROR(checkpoint.ResumeFrom(resume_checkpoint));
-      }
-      auto result = PerturbAnonymize(data, config, run, &checkpoint);
-      if (checkpoint.has_state()) {
-        // Budget expiry (drain, deadline, steps) captured the column-sweep
-        // position; hand it to the service for the next attempt/life.
-        if (auto bytes = checkpoint.SaveCheckpoint(); bytes.ok()) {
-          out.checkpoint = std::move(bytes).value();
-        }
-      }
-      if (!result.ok()) return result.status();
-      out.truncated = result->run_stats.truncated;
-      out.artifact = result->anonymization.release.ToCsv();
-      return Status::Ok();
-    }
-
-    if (spec.kind == "compare") {
-      std::string algorithms = GetParam(spec.params, "algorithms");
-      if (algorithms.empty()) algorithms = "datafly,mondrian";
-      std::vector<std::string> names = StrSplit(algorithms, ',');
-      bool perturbative = false;
-      for (const std::string& name : names) {
-        perturbative = perturbative || IsPerturbMechanismName(name);
-      }
-      if (perturbative || names.size() > 2) {
-        // Cross-family or multi-way: rank under the permutation paradigm.
-        MDC_ASSIGN_OR_RETURN(PerturbConfig perturb_base,
-                             PerturbConfigFromJobParams(spec.params, k));
-        bool truncated = false;
-        MDC_ASSIGN_OR_RETURN(
-            out.artifact,
-            PermutationCompareReport(names, data, hierarchies, k,
-                                     max_suppression, perturb_base,
-                                     CompareEngine::kPacked, threads, run,
-                                     &truncated, &jc));
-        out.truncated = truncated;
-        return Status::Ok();
-      }
-      if (names.size() != 2) {
-        return Status::InvalidArgument(
-            label + ": algorithms needs two comma-separated names");
-      }
-      MDC_ASSIGN_OR_RETURN(NamedRelease first,
-                           RunAlgorithm(names[0], data, hierarchies, k,
-                                        max_suppression, run, threads, &jc));
-      MDC_ASSIGN_OR_RETURN(NamedRelease second,
-                           RunAlgorithm(names[1], data, hierarchies, k,
-                                        max_suppression, run, threads, &jc));
-      ComparisonOptions options;
-      options.threads = threads;
-      std::string sensitive = GetParam(spec.params, "sensitive");
-      if (!sensitive.empty()) {
-        auto parsed = ParseInt64(sensitive);
-        if (!parsed.has_value() || *parsed < 0) {
-          return Status::InvalidArgument(label +
-                                         ": sensitive must be a column index");
-        }
-        options.sensitive_column = static_cast<size_t>(*parsed);
-      } else if (GetParam(spec.params, "input").empty()) {
-        options.sensitive_column = paper::kMaritalColumn;  // table1
-      }
-      MDC_ASSIGN_OR_RETURN(
-          ComparisonReport report,
-          CompareAnonymizations(first.anonymization, first.partition,
-                                second.anonymization, second.partition,
-                                options, run));
-      out.truncated = first.run_stats.truncated ||
-                      second.run_stats.truncated;
-      out.artifact = report.ToText();
-      return Status::Ok();
-    }
-
-    if (spec.kind == "report") {
-      std::string algorithm = GetParam(spec.params, "algorithm");
-      if (algorithm.empty()) algorithm = "mondrian";
-      if (IsPerturbMechanismName(algorithm)) {
-        MDC_ASSIGN_OR_RETURN(PerturbConfig config,
-                             PerturbConfigFromJobParams(spec.params, k));
-        config.threads = threads;
-        MDC_ASSIGN_OR_RETURN(config.mechanism,
-                             ParsePerturbMechanism(algorithm));
-        MDC_ASSIGN_OR_RETURN(PerturbResult result,
-                             PerturbAnonymize(data, config, run));
-        PermutationMetricsOptions metric_options;
-        metric_options.threads = threads;
-        MDC_ASSIGN_OR_RETURN(PermutationModel model,
-                             PermutationModelFor(result.anonymization,
-                                                 nullptr, metric_options,
-                                                 run));
-        out.truncated = result.run_stats.truncated;
-        out.artifact = result.anonymization.release.ToText();
-        out.artifact += PermutationModelSummary(model);
-        return Status::Ok();
-      }
-      MDC_ASSIGN_OR_RETURN(NamedRelease release,
-                           RunAlgorithm(algorithm, data, hierarchies, k,
-                                        max_suppression, run, threads, &jc));
-      double achieved = KAnonymity(1).Measure(release.anonymization,
-                                              release.partition);
-      out.truncated = release.run_stats.truncated;
-      out.artifact = release.anonymization.release.ToText();
-      out.artifact += "achieved_k=" + std::to_string(achieved) +
-                      " suppressed=" +
-                      std::to_string(release.anonymization.SuppressedCount()) +
-                      "\n";
-      return Status::Ok();
-    }
-    return Status::InvalidArgument(label + ": unknown kind '" + spec.kind +
-                                   "' (anonymize|perturb|compare|report)");
-  }();
-  return out;
 }
 
 // Reads one newline-terminated line from stdin. The wait is a poll(2)
@@ -1026,105 +460,37 @@ int RunServeCommand(const CliArgs& args) {
   service::ServiceConfig config;
   config.state_dir = dir_flag->second;
   config.drain_token = InterruptToken();
-  auto parse_u64 = [&](const char* flag, uint64_t& out) -> Status {
-    if (auto it = args.flags.find(flag); it != args.flags.end()) {
-      auto parsed = ParseInt64(it->second);
-      if (!parsed.has_value() || *parsed < 0) {
-        return Status::InvalidArgument(std::string("bad --") + flag);
-      }
-      out = static_cast<uint64_t>(*parsed);
-    }
-    return Status::Ok();
-  };
-  if (Status s = parse_u64("window-capacity", config.admission.window_capacity);
-      !s.ok()) {
-    return Fail(s);
-  }
-  if (Status s = parse_u64("tenant-budget", config.admission.tenant_budget);
-      !s.ok()) {
-    return Fail(s);
-  }
-  if (Status s = parse_u64("quantum", config.admission.quantum); !s.ok()) {
-    return Fail(s);
-  }
-  if (auto it = args.flags.find("default-deadline-ms");
-      it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 0) {
-      return Fail(Status::InvalidArgument("bad --default-deadline-ms"));
-    }
-    config.default_deadline_ms = *parsed;
-  }
-  if (auto it = args.flags.find("max-retries"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 0) {
-      return Fail(Status::InvalidArgument("bad --max-retries"));
-    }
-    config.max_retries = static_cast<int>(*parsed);
-  }
-  if (auto it = args.flags.find("backoff-ms"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 0) {
-      return Fail(Status::InvalidArgument("bad --backoff-ms"));
-    }
-    config.backoff_base_ms = *parsed;
-  }
   if (args.flags.count("no-cache") > 0) config.cache_enabled = false;
-  if (Status s = parse_u64("cache-bytes", config.cache.max_bytes); !s.ok()) {
-    return Fail(s);
-  }
   int threads = 1;
-  if (auto it = args.flags.find("threads"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value()) return Fail(Status::InvalidArgument("bad --threads"));
-    threads = static_cast<int>(*parsed);
-  }
   service::TransportConfig transport;
   const bool use_socket = args.flags.count("listen") > 0;
   if (use_socket) transport.listen = args.flags.at("listen");
-  auto parse_i64 = [&](const char* flag, int64_t& out) -> Status {
-    if (auto it = args.flags.find(flag); it != args.flags.end()) {
-      auto parsed = ParseInt64(it->second);
-      if (!parsed.has_value() || *parsed < 0) {
-        return Status::InvalidArgument(std::string("bad --") + flag);
-      }
-      out = *parsed;
-    }
-    return Status::Ok();
-  };
-  if (auto it = args.flags.find("max-connections"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed < 1) {
-      return Fail(Status::InvalidArgument("bad --max-connections"));
-    }
-    transport.max_connections = static_cast<int>(*parsed);
-  }
-  if (Status s = parse_u64("max-line-bytes", transport.max_line_bytes);
-      !s.ok()) {
-    return Fail(s);
-  }
-  if (Status s = parse_i64("net-read-deadline-ms", transport.read_deadline_ms);
-      !s.ok()) {
-    return Fail(s);
-  }
-  if (Status s = parse_i64("net-idle-deadline-ms", transport.idle_deadline_ms);
-      !s.ok()) {
-    return Fail(s);
-  }
-  if (Status s =
-          parse_i64("net-write-deadline-ms", transport.write_deadline_ms);
-      !s.ok()) {
-    return Fail(s);
+  for (Status status : {
+           IntFlag(args, "window-capacity", 0,
+                   config.admission.window_capacity),
+           IntFlag(args, "tenant-budget", 0, config.admission.tenant_budget),
+           IntFlag(args, "quantum", 0, config.admission.quantum),
+           IntFlag(args, "default-deadline-ms", 0,
+                   config.default_deadline_ms),
+           IntFlag(args, "max-retries", 0, config.max_retries),
+           IntFlag(args, "backoff-ms", 0, config.backoff_base_ms),
+           IntFlag(args, "cache-bytes", 0, config.cache.max_bytes),
+           IntFlag(args, "threads", std::numeric_limits<int64_t>::min(),
+                   threads),
+           IntFlag(args, "max-connections", 1, transport.max_connections),
+           IntFlag(args, "max-line-bytes", 0, transport.max_line_bytes),
+           IntFlag(args, "net-read-deadline-ms", 0,
+                   transport.read_deadline_ms),
+           IntFlag(args, "net-idle-deadline-ms", 0,
+                   transport.idle_deadline_ms),
+           IntFlag(args, "net-write-deadline-ms", 0,
+                   transport.write_deadline_ms)}) {
+    if (!status.ok()) return Fail(status);
   }
 
-  // A service-wide default deadline budgets every job, so the derived-model
-  // store (which requires provably unbudgeted builds) stays off under one.
-  const bool service_unbudgeted = config.default_deadline_ms == 0;
   auto core_or = service::ServiceCore::Start(
-      config,
-      [threads,
-       service_unbudgeted](const service::ServiceCore::ExecRequest& request) {
-        return ExecuteServiceJob(request, threads, service_unbudgeted);
+      config, [threads](const service::ServiceCore::ExecRequest& request) {
+        return service::ExecuteJob(request, threads);
       });
   if (!core_or.ok()) return Fail(core_or.status());
   service::ServiceCore& core = **core_or;
@@ -1210,18 +576,18 @@ int Demo() {
   MDC_CHECK(data.ok());
   auto hierarchies = paper::HierarchySetA();
   MDC_CHECK(hierarchies.ok());
-  auto datafly =
-      RunAlgorithm("datafly", *data, *hierarchies, 3, 0.0);
-  auto mondrian =
-      RunAlgorithm("mondrian", *data, *hierarchies, 3, 0.0);
+  auto datafly = DataflyAnonymize(*data, *hierarchies,
+                                  DataflyConfig{3, SuppressionBudget{0.0}});
+  auto mondrian = MondrianAnonymize(*data, MondrianConfig{3});
   MDC_CHECK(datafly.ok());
   MDC_CHECK(mondrian.ok());
+  const NodeEvaluation& released = datafly->evaluation;
   std::printf("datafly release:\n%s\n",
-              datafly->anonymization.release.ToText().c_str());
+              released.anonymization.release.ToText().c_str());
   ComparisonOptions options;
   options.sensitive_column = paper::kMaritalColumn;
   auto report = CompareAnonymizations(
-      datafly->anonymization, datafly->partition, mondrian->anonymization,
+      released.anonymization, released.partition, mondrian->anonymization,
       mondrian->partition, options);
   MDC_CHECK(report.ok());
   std::printf("%s", report->ToText().c_str());
@@ -1261,187 +627,10 @@ int main(int argc, char** argv) {
   if (args.command.empty()) return Demo();
   if (args.command == "batch") return RunBatchCommand(args);
   if (args.command == "serve") return RunServeCommand(args);
-
-  int k = 2;
-  if (auto it = args.flags.find("k"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value()) {
-      return Fail(Status::InvalidArgument("bad --k"));
-    }
-    k = static_cast<int>(*parsed);
+  if (args.command == "anonymize" || args.command == "perturb" ||
+      args.command == "compare") {
+    return RunJobCommand(args);
   }
-  double max_suppression = 0.0;
-  if (auto it = args.flags.find("max-suppression");
-      it != args.flags.end()) {
-    auto parsed = ParseDouble(it->second);
-    if (!parsed.has_value()) {
-      return Fail(Status::InvalidArgument("bad --max-suppression"));
-    }
-    max_suppression = *parsed;
-  }
-  RunContext run_context;
-  bool budgeted = false;
-  if (auto it = args.flags.find("deadline-ms"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed <= 0) {
-      return Fail(Status::InvalidArgument("bad --deadline-ms"));
-    }
-    run_context.set_deadline_ms(*parsed);
-    budgeted = true;
-  }
-  if (auto it = args.flags.find("max-steps"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value() || *parsed <= 0) {
-      return Fail(Status::InvalidArgument("bad --max-steps"));
-    }
-    run_context.set_max_steps(static_cast<uint64_t>(*parsed));
-    budgeted = true;
-  }
-  RunContext* run = budgeted ? &run_context : nullptr;
-  int threads = 1;
-  if (auto it = args.flags.find("threads"); it != args.flags.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (!parsed.has_value()) {
-      return Fail(Status::InvalidArgument("bad --threads"));
-    }
-    // <= 0 means one worker per hardware thread; results are identical
-    // for any value (docs/performance.md).
-    threads = static_cast<int>(*parsed);
-  }
-
-  std::shared_ptr<const Dataset> data;
-  HierarchySet hierarchies;
-  if (Status status = LoadInputs(args, data, hierarchies); !status.ok()) {
-    return Fail(status);
-  }
-
-  if (args.command == "anonymize") {
-    std::string algorithm = "mondrian";
-    if (auto it = args.flags.find("algorithm"); it != args.flags.end()) {
-      algorithm = it->second;
-    }
-    auto release = RunAlgorithm(algorithm, data, hierarchies, k,
-                                max_suppression, run, threads);
-    if (!release.ok()) return Fail(release.status());
-    double achieved = KAnonymity(1).Measure(release->anonymization,
-                                            release->partition);
-    std::fprintf(stderr, "%s: %zu rows, achieved k=%.0f, %zu suppressed\n",
-                 algorithm.c_str(), release->anonymization.row_count(),
-                 achieved, release->anonymization.SuppressedCount());
-    if (budgeted) {
-      std::fprintf(stderr, "run stats: %s\n",
-                   release->run_stats.ToString().c_str());
-    }
-    std::string csv = release->anonymization.release.ToCsv();
-    if (auto it = args.flags.find("output"); it != args.flags.end()) {
-      // Durable: a crash mid-write leaves either the old file or the new
-      // one, never a torn release.
-      if (Status status = DurableWriteFile(it->second, csv); !status.ok()) {
-        return Fail(status);
-      }
-    } else {
-      std::printf("%s", csv.c_str());
-    }
-    return 0;
-  }
-
-  if (args.command == "perturb") {
-    auto config_or = PerturbConfigFromFlags(args.flags, k);
-    if (!config_or.ok()) return Fail(config_or.status());
-    PerturbConfig config = *config_or;
-    config.threads = threads;
-    auto result = PerturbAnonymize(data, config, run);
-    if (!result.ok()) return Fail(result.status());
-    PermutationMetricsOptions metric_options;
-    metric_options.threads = threads;
-    auto model = PermutationModelFor(result->anonymization, nullptr,
-                                     metric_options, run);
-    if (!model.ok()) return Fail(model.status());
-    std::fprintf(stderr, "%s: %zu rows, %zu columns perturbed\n%s",
-                 PerturbMechanismName(config.mechanism),
-                 result->anonymization.release.row_count(),
-                 result->perturbed_columns.size(),
-                 PermutationModelSummary(*model).c_str());
-    if (budgeted) {
-      std::fprintf(stderr, "run stats: %s\n",
-                   result->run_stats.ToString().c_str());
-    }
-    std::string csv = result->anonymization.release.ToCsv();
-    if (auto it = args.flags.find("output"); it != args.flags.end()) {
-      if (Status status = DurableWriteFile(it->second, csv); !status.ok()) {
-        return Fail(status);
-      }
-    } else {
-      std::printf("%s", csv.c_str());
-    }
-    return 0;
-  }
-
-  if (args.command == "compare") {
-    std::string algorithms = "datafly,mondrian";
-    if (auto it = args.flags.find("algorithms"); it != args.flags.end()) {
-      algorithms = it->second;
-    }
-    std::vector<std::string> names = StrSplit(algorithms, ',');
-    bool perturbative = false;
-    for (const std::string& name : names) {
-      perturbative = perturbative || IsPerturbMechanismName(name);
-    }
-    if (perturbative || names.size() > 2) {
-      // Cross-family or multi-way: the permutation paradigm is the common
-      // currency (docs/permutation.md). The two-generalization path below
-      // stays byte-identical to what it always printed.
-      auto perturb_base = PerturbConfigFromFlags(args.flags, k);
-      if (!perturb_base.ok()) return Fail(perturb_base.status());
-      CompareEngine engine = CompareEngine::kPacked;
-      if (auto it = args.flags.find("compare-engine");
-          it != args.flags.end()) {
-        auto parsed = ParseCompareEngine(it->second);
-        if (!parsed.ok()) return Fail(parsed.status());
-        engine = *parsed;
-      }
-      auto report = PermutationCompareReport(names, data, hierarchies, k,
-                                             max_suppression, *perturb_base,
-                                             engine, threads, run);
-      if (!report.ok()) return Fail(report.status());
-      std::printf("%s", report->c_str());
-      if (budgeted) {
-        std::fprintf(stderr, "run stats: %s\n",
-                     RunContext::Stats(run).ToString().c_str());
-      }
-      return 0;
-    }
-    if (names.size() != 2) {
-      return Fail(Status::InvalidArgument(
-          "--algorithms needs exactly two comma-separated names"));
-    }
-    auto first = RunAlgorithm(names[0], data, hierarchies, k,
-                              max_suppression, run, threads);
-    if (!first.ok()) return Fail(first.status());
-    auto second = RunAlgorithm(names[1], data, hierarchies, k,
-                               max_suppression, run, threads);
-    if (!second.ok()) return Fail(second.status());
-    ComparisonOptions comparison_options;
-    comparison_options.threads = threads;
-    if (auto it = args.flags.find("compare-engine"); it != args.flags.end()) {
-      auto engine = ParseCompareEngine(it->second);
-      if (!engine.ok()) return Fail(engine.status());
-      comparison_options.engine = *engine;
-    }
-    auto report = CompareAnonymizations(first->anonymization,
-                                        first->partition,
-                                        second->anonymization,
-                                        second->partition,
-                                        comparison_options, run);
-    if (!report.ok()) return Fail(report.status());
-    std::printf("%s", report->ToText().c_str());
-    if (budgeted) {
-      std::fprintf(stderr, "run stats: %s\n",
-                   RunContext::Stats(run).ToString().c_str());
-    }
-    return 0;
-  }
-
   return Fail(Status::InvalidArgument(
       "unknown command '" + args.command +
       "' (anonymize|perturb|compare|batch|serve)"));

@@ -71,6 +71,13 @@ class RunContext {
 
   const CancellationToken& cancellation() const { return cancel_; }
 
+  // True when a deadline, step or memory budget is set: a bounded run may
+  // truncate its result.
+  bool bounded() const {
+    return deadline_.has_value() || max_steps_.has_value() ||
+           max_memory_bytes_.has_value();
+  }
+
   // Cooperative budget checkpoint, called once per loop iteration (node
   // evaluation, split, cluster, ...). Charges `steps` work-steps, then
   // reports the first exhausted budget:

@@ -121,8 +121,7 @@ TEST(CliMetricsTest, DeterministicCountersInvariantAcrossThreadCounts) {
   }
 }
 
-std::string CompareCommand(int threads, const std::string& engine,
-                           const std::string& metrics_out) {
+std::string CompareCommand(int threads, const std::string& metrics_out) {
   std::string data = MDC_EXAMPLES_DATA_DIR;
   return std::string(MDC_CLI_BIN) + " compare" +
          " --input " + data + "/patients.csv" +
@@ -130,7 +129,6 @@ std::string CompareCommand(int threads, const std::string& engine,
          "diagnosis:string:sensitive" +
          " --hierarchies " + data + "/patients.spec" +
          " --algorithms datafly,mondrian --k 2" +
-         " --compare-engine " + engine +
          " --threads " + std::to_string(threads) +
          " --metrics-out " + metrics_out + " > /dev/null";
 }
@@ -140,7 +138,7 @@ std::string CompareCommand(int threads, const std::string& engine,
 // --threads value.
 TEST(CliMetricsTest, CompareEngineCountersInvariantAcrossThreadCounts) {
   std::string baseline_path = TempPath("mdc_cli_cmp_metrics_t1.json");
-  ASSERT_EQ(RunCommand(CompareCommand(1, "packed", baseline_path)), 0);
+  ASSERT_EQ(RunCommand(CompareCommand(1, baseline_path)), 0);
   std::map<std::string, uint64_t> baseline =
       DeterministicCounters(ReadFile(baseline_path));
   ASSERT_FALSE(baseline.empty());
@@ -153,25 +151,9 @@ TEST(CliMetricsTest, CompareEngineCountersInvariantAcrossThreadCounts) {
     std::string path =
         TempPath("mdc_cli_cmp_metrics_t" + std::to_string(threads) +
                  ".json");
-    ASSERT_EQ(RunCommand(CompareCommand(threads, "packed", path)), 0);
+    ASSERT_EQ(RunCommand(CompareCommand(threads, path)), 0);
     EXPECT_EQ(DeterministicCounters(ReadFile(path)), baseline);
   }
-}
-
-// Both engines are accepted by the flag parser and exit cleanly; an
-// unknown engine is a usage error.
-TEST(CliMetricsTest, CompareEngineFlagParses) {
-  std::string path = TempPath("mdc_cli_cmp_scalar.json");
-  ASSERT_EQ(RunCommand(CompareCommand(1, "scalar", path)), 0);
-  FILE* pipe =
-      popen((CompareCommand(1, "bogus", TempPath("unused.json")) + " 2>&1")
-                .c_str(),
-            "r");
-  ASSERT_NE(pipe, nullptr);
-  char buffer[4096];
-  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-  }
-  EXPECT_NE(pclose(pipe), 0) << "bogus --compare-engine must be rejected";
 }
 
 TEST(CliMetricsTest, TraceSinkWritesChromeTraceJson) {
