@@ -103,8 +103,8 @@ void BM_ServiceJobs(benchmark::State& state) {
     }
     (*core)->WaitIdle();
   }
-  for (const JobOutcome& outcome : (*core)->Outcomes()) {
-    MDC_CHECK(outcome.state == JobState::kOk);
+  for (const service::JobOutcome& outcome : (*core)->Outcomes()) {
+    MDC_CHECK(outcome.state == service::JobState::kOk);
   }
   if (cached) {
     // The leg measured what it claims: repeats were served resident.

@@ -12,9 +12,8 @@
 #include "anonymize/samarati.h"
 #include "anonymize/stochastic.h"
 #include "anonymize/top_down.h"
-#include "common/durable_io.h"
+#include "common/strings.h"
 #include "common/text_table.h"
-#include "core/batch_runner.h"
 #include "core/bias.h"
 #include "core/properties.h"
 #include "core/quality_index.h"
@@ -23,6 +22,7 @@
 #include "privacy/l_diversity.h"
 #include "privacy/t_closeness.h"
 #include "repro_util.h"
+#include "service/service_core.h"
 #include "utility/avg_class_size.h"
 #include "utility/discernibility.h"
 #include "utility/loss_metric.h"
@@ -42,7 +42,7 @@ constexpr const char* kAlgorithms[] = {
     "top-down", "bottom-up", "mondrian"};
 
 // Runs one named algorithm at one k. Shared by the in-process comparison
-// sweep and the supervised batch export, so both produce the exact same
+// sweep and the supervised release export, so both produce the exact same
 // releases.
 StatusOr<NamedRelease> RunOne(const std::string& name,
                               const CensusData& census, int k,
@@ -129,51 +129,52 @@ std::vector<NamedRelease> RunAll(const CensusData& census, int k,
   return releases;
 }
 
-// Supervised artifact export: one batch job per (k, algorithm) re-runs the
-// algorithm and durably writes its release CSV into `dir`. The batch
-// checkpoint in the same directory makes the sweep resumable — a killed
-// export picks up at the first job without an artifact.
+// Supervised artifact export: one service job per (k, algorithm) re-runs
+// the algorithm on a ServiceCore whose state dir is `dir`, which durably
+// writes the release CSV to `dir`/artifacts/<id>. The service journal
+// makes the sweep resumable — a killed export picks up at the first job
+// without a done record.
 int ExportReleases(const CensusData& census, const std::string& dir) {
-  if (Status status = EnsureWritableDir(dir); !status.ok()) {
-    std::fprintf(stderr, "error: --checkpoint-dir %s: %s\n", dir.c_str(),
-                 status.ToString().c_str());
-    return 1;
-  }
-  std::vector<BatchJob> jobs;
+  std::vector<service::JobSpec> jobs;
   for (int k : {2, 5, 10}) {
     for (const char* name : kAlgorithms) {
-      BatchJob job;
+      service::JobSpec job;
       job.id = "k" + std::to_string(k) + "_" + name;
       job.params["algorithm"] = name;
       job.params["k"] = std::to_string(k);
       jobs.push_back(std::move(job));
     }
   }
-  BatchRunnerConfig config;
-  config.checkpoint_path = dir + "/batch_checkpoint.bin";
-  auto result = RunBatch(
-      jobs,
-      [&census, &dir](const BatchJob& job, RunContext* run) -> Status {
-        auto k = ParseInt64(job.params.at("k"));
+  service::ServiceConfig config;
+  config.state_dir = dir;
+  auto outcomes = service::RunJobList(
+      config,
+      [&census](const service::ServiceCore::ExecRequest& request) {
+        const auto& params = request.spec.params;
+        auto k = ParseInt64(params.at("k"));
         MDC_CHECK(k.has_value());
-        MDC_ASSIGN_OR_RETURN(
-            NamedRelease release,
-            RunOne(job.params.at("algorithm"), census,
-                   static_cast<int>(*k), run));
-        return DurableWriteFile(
-            dir + "/" + job.id + ".csv",
-            release.anonymization.release.ToCsv());
+        service::ServiceCore::ExecResult result;
+        StatusOr<NamedRelease> release =
+            RunOne(params.at("algorithm"), census, static_cast<int>(*k),
+                   request.run);
+        if (release.ok()) {
+          result.artifact = release->anonymization.release.ToCsv();
+        } else {
+          result.status = release.status();
+        }
+        return result;
       },
-      config);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+      jobs);
+  if (!outcomes.ok()) {
+    std::fprintf(stderr, "error: %s\n", outcomes.status().ToString().c_str());
     return 1;
   }
   repro::Banner("Supervised release export to " + dir);
-  std::printf("%s", result->Summary().c_str());
-  return result->CountState(JobState::kOk) +
-                     result->CountState(JobState::kTruncated) ==
-                 result->outcomes.size()
+  std::printf("%s", service::OutcomeSummary(*outcomes).c_str());
+  return service::CountState(*outcomes, service::JobState::kOk) +
+                     service::CountState(*outcomes,
+                                         service::JobState::kTruncated) ==
+                 outcomes->size()
              ? 0
              : 1;
 }

@@ -32,13 +32,15 @@
 //
 // `batch` runs a CSV of jobs (columns: id, algorithm, and optionally
 // dataset|input+schema+hierarchies, k, max_suppression, deadline_ms,
-// max_steps) under the supervised batch runner: transient failures are
-// retried with backoff, deterministic failures are quarantined, and the
-// batch checkpoints into --checkpoint-dir so a killed run resumes at the
-// first incomplete job. Each row is an anonymize job of the executor;
-// releases are written durably to <checkpoint-dir>/<id>.csv. SIGINT/SIGTERM
-// abort the batch at the next job boundary with the checkpoint durable
-// (exit code 3, "interrupted").
+// max_steps) on the same service core as `serve`, with --checkpoint-dir
+// as its state dir (docs/error_handling.md): each row is a kind=anonymize
+// job of the executor, transient failures are retried with backoff,
+// deterministic failures and rows without an algorithm are quarantined,
+// and releases are written durably to <checkpoint-dir>/artifacts/<id>.
+// The service journal is the resume state: re-running the same command
+// resumes at the first incomplete row. SIGINT/SIGTERM stop the in-flight
+// row (an optimal row keeps its search checkpoint) and dispatch nothing
+// more (exit code 3, "interrupted").
 //
 //   example_mdc_cli serve --state-dir <dir> [--window-capacity <n>]
 //       [--tenant-budget <n>] [--quantum <n>] [--default-deadline-ms <ms>]
@@ -86,7 +88,6 @@
 #include "common/run_context.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "core/batch_runner.h"
 #include "core/report.h"
 #include "paper/paper_data.h"
 #include "service/executor.h"
@@ -135,10 +136,10 @@ constexpr const char* kOtherFlags[] = {
 constexpr const char* kBoolFlags[] = {"no-cache"};
 
 // Signal plumbing shared by `batch` and `serve`: the handler records the
-// signal and cancels the shared token, which aborts the batch at its next
-// job boundary or interrupts the service's in-flight job (its RunContext
-// carries a copy). Everything else — checkpointing, draining, the exit
-// code — happens in normal control flow.
+// signal and cancels the service core's drain token, which interrupts the
+// in-flight job (its RunContext carries a copy) and stops further
+// dispatch. Everything else — checkpointing, draining, the exit code —
+// happens in normal control flow.
 //
 // The serve loop blocks in read(2) on stdin, and EINTR alone is not
 // enough to wake it: a signal that lands between the g_signal check and
@@ -308,7 +309,8 @@ int RunJobCommand(const CliArgs& args) {
   return 0;
 }
 
-int RunBatchCommand(const CliArgs& args) {
+// batch: the jobs-file rows run on a ServiceCore over --checkpoint-dir.
+int RunJobsFileCommand(const CliArgs& args) {
   auto jobs_flag = args.flags.find("jobs");
   auto dir_flag = args.flags.find("checkpoint-dir");
   if (jobs_flag == args.flags.end() || dir_flag == args.flags.end()) {
@@ -324,8 +326,8 @@ int RunBatchCommand(const CliArgs& args) {
                        "directory: " + status.message()));
   }
 
-  BatchRunnerConfig config;
-  config.checkpoint_path = dir + "/batch_checkpoint.bin";
+  service::ServiceConfig config;
+  config.state_dir = dir;
   for (Status status : {IntFlag(args, "max-retries", 0, config.max_retries),
                         IntFlag(args, "backoff-ms", 0,
                                 config.backoff_base_ms)}) {
@@ -334,47 +336,42 @@ int RunBatchCommand(const CliArgs& args) {
 
   auto spec_or = ReadFileToString(jobs_flag->second);
   if (!spec_or.ok()) return Fail(spec_or.status());
-  auto jobs_or = ParseJobSpecCsv(*spec_or);
+  auto jobs_or = service::ParseJobSpecCsv(*spec_or);
   if (!jobs_or.ok()) return Fail(jobs_or.status());
 
-  // SIGINT/SIGTERM cancel the shared token; the runner aborts at the next
-  // job boundary with the checkpoint durable, so re-running the same
-  // command resumes at the first incomplete job.
-  config.cancellation = InterruptToken();
+  // SIGINT/SIGTERM cancel the drain token: the in-flight row stops, the
+  // rest stay journaled, and re-running the same command resumes.
+  config.drain_token = InterruptToken();
   InstallSignalHandlers();
 
-  // Each row is an anonymize job; its release lands next to the batch
-  // checkpoint.
-  auto result = RunBatch(
-      *jobs_or,
-      [&dir](const BatchJob& job, RunContext* run) -> Status {
-        auto algorithm = job.params.find("algorithm");
-        if (algorithm == job.params.end() || algorithm->second.empty()) {
-          return Status::InvalidArgument("job " + job.id +
-                                         ": missing `algorithm` column");
+  auto outcomes = service::RunJobList(
+      config,
+      [](const service::ServiceCore::ExecRequest& request) {
+        auto algorithm = request.spec.params.find("algorithm");
+        if (algorithm == request.spec.params.end() ||
+            algorithm->second.empty()) {
+          service::ServiceCore::ExecResult result;
+          result.status = Status::InvalidArgument(
+              "job " + request.spec.id + ": missing `algorithm` column");
+          return result;
         }
-        service::JobSpec spec;
-        spec.id = job.id;
-        spec.kind = "anonymize";
-        spec.params = job.params;
-        service::ServiceCore::ExecResult executed =
-            service::ExecuteJob({spec, run, {}, nullptr}, 1);
-        if (!executed.status.ok()) return executed.status;
-        return DurableWriteFile(dir + "/" + job.id + ".csv",
-                                executed.artifact);
+        return service::ExecuteJob(request, 1);
       },
-      config);
-  if (!result.ok()) return Fail(result.status());
-  std::printf("%s", result->Summary().c_str());
-  if (result->aborted && g_signal != 0) {
+      *jobs_or);
+  if (!outcomes.ok()) return Fail(outcomes.status());
+  std::printf("%s", service::OutcomeSummary(*outcomes).c_str());
+  const bool incomplete =
+      service::CountState(*outcomes, service::JobState::kPending) > 0;
+  if (incomplete && g_signal != 0) {
     std::fprintf(stderr,
                  "interrupted: checkpoint is durable; re-run the same "
                  "command to resume\n");
     return 3;
   }
-  bool clean = !result->aborted &&
-               result->CountState(JobState::kQuarantined) == 0 &&
-               result->CountState(JobState::kExhausted) == 0;
+  bool clean =
+      !incomplete &&
+      service::CountState(*outcomes, service::JobState::kQuarantined) == 0 &&
+      service::CountState(*outcomes, service::JobState::kExhausted) == 0;
   return clean ? 0 : 1;
 }
 
@@ -625,7 +622,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args.command.empty()) return Demo();
-  if (args.command == "batch") return RunBatchCommand(args);
+  if (args.command == "batch") return RunJobsFileCommand(args);
   if (args.command == "serve") return RunServeCommand(args);
   if (args.command == "anonymize" || args.command == "perturb" ||
       args.command == "compare") {

@@ -31,7 +31,7 @@ Status DurableWriteFile(const std::string& path, std::string_view contents);
 
 // Verifies `path` is a writable directory, creating one level if missing.
 // An existing non-directory or an unwritable directory is a clean
-// kFailedPrecondition — callers (the CLI, the batch runner) use this to
+// kFailedPrecondition — callers (the CLI, the service core) use this to
 // reject a bad --checkpoint-dir up front instead of failing mid-run.
 // Writability is proved by creating and removing a probe file (failpoint
 // "io.probe_dir").

@@ -30,15 +30,15 @@ inline constexpr uint32_t kSnapshotMagic = 0x4D444353;
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 
 // What the payload holds. A reader opened for one kind rejects all others,
-// so a batch checkpoint can never be fed to a lattice search and vice
-// versa.
+// so a service journal record can never be fed to a lattice search and
+// vice versa.
 enum class SnapshotKind : uint32_t {
   kIncognito = 1,
   kSamarati = 2,
   kOptimalLattice = 3,
   kParetoLattice = 4,
   kStochastic = 5,
-  kBatch = 6,
+  kBatch = 6,           // Reserved: the retired batch-runner checkpoint.
   kServiceJob = 7,      // One admitted job's durable journal record.
   kServiceOutcome = 8,  // One job's terminal outcome record.
   kPerturb = 9,         // Perturbation column-sweep position.

@@ -16,7 +16,7 @@
 
 #include "common/durable_io.h"
 #include "common/metrics.h"
-#include "core/batch_runner.h"
+#include "service/job_spec.h"
 
 namespace mdc::service {
 namespace {
@@ -208,14 +208,13 @@ StatusOr<std::string> ServiceClient::RequestWithTimeout(
   // Salted by the request line: two clients retrying the same incident
   // decorrelate by seed, two requests by one client decorrelate by salt.
   BackoffSequence backoff(config_.backoff_base_ms, config_.backoff_max_ms,
-                          config_.backoff_jitter, config_.backoff_jitter_seed,
-                          BackoffSalt(line));
+                          config_.backoff_jitter_seed, BackoffSalt(line));
   Status last = Status::Internal("client: no attempt made");
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
       ++retries_;
       MDC_METRIC_INC("client.retries");
-      SleepMs(backoff.NextDelayMs(attempt));
+      SleepMs(backoff.NextDelayMs());
     }
     if (Status status = EnsureConnected(); !status.ok()) {
       last = status;

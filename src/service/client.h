@@ -12,10 +12,10 @@
 //    SIGKILL, or a typed transient transport rejection such as
 //    `overloaded_connections` / `draining` / a deadline reap) closes the
 //    connection and retries after a BackoffSequence delay — the same
-//    bounded decorrelated-jitter law the batch runner and service worker
-//    use, salted by the request line so concurrent clients do not
-//    thunder together. `line_too_long` is NOT retried: the same line
-//    would be rejected again.
+//    bounded decorrelated-jitter law the service worker uses, salted by
+//    the request line so concurrent clients do not thunder together.
+//    `line_too_long` is NOT retried: the same line would be rejected
+//    again.
 //  - **Idempotent resubmission.** Submit() leans on the journal's
 //    duplicate_id semantics for an at-most-once guarantee: if the daemon
 //    journaled the job but died before the ack, the retried submit is
@@ -52,7 +52,6 @@ struct ClientConfig {
   // Backoff law (BackoffSequence): bounded decorrelated jitter.
   int64_t backoff_base_ms = 5;
   int64_t backoff_max_ms = 500;
-  bool backoff_jitter = true;
   uint64_t backoff_jitter_seed = 0;
   uint64_t max_reply_bytes = 1 << 20;  // Reply-line sanity bound.
 };

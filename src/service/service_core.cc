@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <utility>
 
 #include "common/csv.h"
@@ -16,6 +17,11 @@
 namespace mdc::service {
 namespace {
 
+// Retry delays: BackoffSequence from ServiceConfig::backoff_base_ms up to
+// this cap, one fixed stream seed (each job's id salts its own stream).
+constexpr int64_t kBackoffMaxMs = 1000;
+constexpr uint64_t kBackoffSeed = 0;
+
 // Budget codes mean "interrupted", not "failed": the attempt may leave a
 // checkpoint and the job stays incomplete.
 bool IsInterruption(const Status& status) {
@@ -25,10 +31,12 @@ bool IsInterruption(const Status& status) {
 }
 
 // Names in `dir` with suffix `suffix` (stripped), sorted for determinism.
-// Stray "*.tmp" leftovers from a hard kill mid-DurableWriteFile are
-// removed — the rename never happened, so they are dead bytes.
+// With `remove_tmp`, stray "*.tmp" leftovers from a hard kill mid-
+// DurableWriteFile are removed — the rename never happened, so they are
+// dead bytes.
 StatusOr<std::vector<std::string>> ListDir(const std::string& dir,
-                                           std::string_view suffix) {
+                                           std::string_view suffix,
+                                           bool remove_tmp = true) {
   DIR* handle = opendir(dir.c_str());
   if (handle == nullptr) {
     return ErrnoToStatus(errno, "opendir " + dir);
@@ -37,7 +45,8 @@ StatusOr<std::vector<std::string>> ListDir(const std::string& dir,
   while (dirent* entry = readdir(handle)) {
     std::string name = entry->d_name;
     if (name == "." || name == "..") continue;
-    if (name.size() >= 4 && name.substr(name.size() - 4) == ".tmp") {
+    if (remove_tmp && name.size() >= 4 &&
+        name.substr(name.size() - 4) == ".tmp") {
       std::remove((dir + "/" + name).c_str());
       continue;
     }
@@ -117,6 +126,9 @@ StatusOr<std::unique_ptr<ServiceCore>> ServiceCore::Start(
   }
   if (executor == nullptr) {
     return Status::InvalidArgument("service: executor must be set");
+  }
+  if (config.max_retries < 0) {
+    return Status::InvalidArgument("service: max_retries must be >= 0");
   }
   MDC_RETURN_IF_ERROR(EnsureWritableDir(config.state_dir));
   for (const char* sub : {"/jobs", "/done", "/ckpt", "/artifacts"}) {
@@ -226,11 +238,16 @@ StatusOr<AdmitDecision> ServiceCore::Submit(const JobSpec& spec) {
   return AdmitDecision::kAdmitted;
 }
 
+bool ServiceCore::SettledLocked() const {
+  // After a drain starts nothing more is dispatched, so the queue no
+  // longer counts: settled means the in-flight job has stopped.
+  return running_id_.empty() &&
+         (queue_.queued() == 0 || drain_token_.cancelled());
+}
+
 void ServiceCore::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return (queue_.queued() == 0 && running_id_.empty()) || stop_worker_;
-  });
+  idle_cv_.wait(lock, [this] { return SettledLocked() || stop_worker_; });
   // Client-visible barrier: the window resets here and only here (plus
   // start/drain), keeping shed decisions a pure function of arrival order.
   queue_.ResetWindow();
@@ -248,6 +265,14 @@ void ServiceCore::WorkerLoop() {
     work_cv_.wait(lock,
                   [this] { return stop_worker_ || queue_.queued() > 0; });
     if (stop_worker_) return;  // Drain: leave queued jobs journaled.
+    if (drain_token_.cancelled()) {
+      // A drain has started (possibly from a signal handler, which cannot
+      // notify): dispatch nothing more, release WaitIdle, and park until
+      // Drain() stops the worker. Queued jobs stay journaled.
+      idle_cv_.notify_all();
+      work_cv_.wait(lock, [this] { return stop_worker_; });
+      return;
+    }
     std::optional<JobSpec> job = queue_.Dequeue();
     if (!job.has_value()) continue;
     running_id_ = job->id;
@@ -255,11 +280,7 @@ void ServiceCore::WorkerLoop() {
     ExecuteJob(*job);
     lock.lock();
     running_id_.clear();
-    if (queue_.queued() == 0) {
-      lock.unlock();
-      idle_cv_.notify_all();
-      lock.lock();
-    }
+    if (SettledLocked()) idle_cv_.notify_all();
   }
 }
 
@@ -273,9 +294,8 @@ void ServiceCore::ExecuteJob(const JobSpec& spec) {
       MDC_METRIC_INC("svc.resumed_from_checkpoint");
     }
   }
-  BackoffSequence backoff(config_.backoff_base_ms, config_.backoff_max_ms,
-                          config_.backoff_jitter, config_.backoff_jitter_seed,
-                          BackoffSalt(spec.id));
+  BackoffSequence backoff(config_.backoff_base_ms, kBackoffMaxMs,
+                          kBackoffSeed, BackoffSalt(spec.id));
   JobOutcome outcome;
   outcome.id = spec.id;
   while (true) {
@@ -324,9 +344,8 @@ void ServiceCore::ExecuteJob(const JobSpec& spec) {
       // Fall through: the persist failure classifies like any attempt
       // failure (transient I/O retries, deterministic quarantines).
     } else if (IsInterruption(terminal)) {
-      // The job's own budget expired without a best-so-far result; treat
-      // like the batch runner: transient (the deadline was wall-clock)
-      // until retries exhaust.
+      // The job's own budget expired without a best-so-far result:
+      // transient (the deadline was wall-clock) until retries exhaust.
       if (!result.checkpoint.empty()) {
         (void)DurableWriteFile(CkptPath(spec.id), result.checkpoint);
         checkpoint = result.checkpoint;
@@ -335,7 +354,7 @@ void ServiceCore::ExecuteJob(const JobSpec& spec) {
 
     if (IsTransientStatus(terminal) || IsInterruption(terminal)) {
       if (outcome.attempts <= static_cast<uint32_t>(config_.max_retries)) {
-        int64_t delay = backoff.NextDelayMs(outcome.attempts);
+        int64_t delay = backoff.NextDelayMs();
         if (delay > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(delay));
         }
@@ -424,9 +443,91 @@ std::vector<JobOutcome> ServiceCore::Outcomes() const {
   return outcomes_;
 }
 
+std::optional<JobOutcome> ServiceCore::OutcomeOf(
+    const std::string& id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = completed_.find(id);
+  if (it == completed_.end()) return std::nullopt;
+  return it->second;
+}
+
+StatusOr<std::vector<std::string>> ServiceCore::JournaledIds(
+    const std::string& state_dir) {
+  const std::string dir = state_dir + "/jobs";
+  StatusOr<std::vector<std::string>> stems =
+      ListDir(dir, ".job", /*remove_tmp=*/false);
+  if (!stems.ok()) {
+    if (stems.status().code() == StatusCode::kNotFound) {
+      return std::vector<std::string>{};  // Fresh state dir.
+    }
+    return stems.status();
+  }
+  std::vector<std::string> ids;
+  for (const std::string& stem : *stems) {
+    MDC_ASSIGN_OR_RETURN(std::string bytes,
+                         ReadFileToString(dir + "/" + stem + ".job"));
+    if (auto record = DeserializeJobSpec(bytes); record.ok()) {
+      ids.push_back(record->spec.id);
+    }
+  }
+  return ids;
+}
+
 size_t ServiceCore::recovered_jobs() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recovered_;
+}
+
+StatusOr<std::vector<JobOutcome>> RunJobList(ServiceConfig config,
+                                             ServiceCore::Executor executor,
+                                             const std::vector<JobSpec>& jobs) {
+  std::set<std::string> ids;
+  uint64_t cost = 0;
+  for (const JobSpec& spec : jobs) {
+    if (!IsValidToken(spec.id)) {
+      return Status::InvalidArgument("job list: invalid id '" + spec.id +
+                                     "'");
+    }
+    if (!ids.insert(spec.id).second) {
+      return Status::InvalidArgument("job list: duplicate id " + spec.id);
+    }
+    cost += spec.cost;
+  }
+  // A state dir written for one job list must not silently apply to
+  // another: refuse before any job runs.
+  MDC_ASSIGN_OR_RETURN(std::vector<std::string> journaled,
+                       ServiceCore::JournaledIds(config.state_dir));
+  for (const std::string& id : journaled) {
+    if (ids.count(id) == 0) {
+      return Status::InvalidArgument(
+          "state dir " + config.state_dir + ": unknown job id " + id +
+          " (job list changed since the directory was written?)");
+    }
+  }
+  config.admission.window_capacity = cost;
+  MDC_ASSIGN_OR_RETURN(
+      std::unique_ptr<ServiceCore> core,
+      ServiceCore::Start(std::move(config), std::move(executor)));
+  for (const JobSpec& spec : jobs) {
+    MDC_ASSIGN_OR_RETURN(AdmitDecision decision, core->Submit(spec));
+    // duplicate_id: journaled by an earlier life — done, or re-queued by
+    // recovery ahead of every new row, so the list keeps its order.
+    if (decision != AdmitDecision::kAdmitted &&
+        decision != AdmitDecision::kDuplicateId) {
+      return Status::Internal("job " + spec.id + ": admission " +
+                              AdmitDecisionName(decision));
+    }
+  }
+  core->WaitIdle();
+  MDC_RETURN_IF_ERROR(core->Drain());
+  std::vector<JobOutcome> outcomes;
+  outcomes.reserve(jobs.size());
+  for (const JobSpec& spec : jobs) {
+    JobOutcome pending;
+    pending.id = spec.id;
+    outcomes.push_back(core->OutcomeOf(spec.id).value_or(pending));
+  }
+  return outcomes;
 }
 
 }  // namespace mdc::service

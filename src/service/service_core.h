@@ -1,13 +1,14 @@
-// Resident, overload-resilient job-service core (`mdcd`).
+// Resident, overload-resilient job-service core (`mdcd`) — the one
+// supervised-execution engine behind `mdc_cli serve`, `mdc_cli batch` and
+// the EXT-A release export.
 //
-// ServiceCore turns the batch machinery into a long-running service:
-// clients submit JobSpecs, a bounded multi-tenant admission queue decides
+// Clients submit JobSpecs, a bounded multi-tenant admission queue decides
 // deterministically whether to accept or shed each one (see admission.h),
 // and a worker executes admitted jobs in deficit-round-robin order under a
-// fresh RunContext carrying the client's deadline/step budgets. Supervision
-// mirrors the batch runner: transient failures retry with bounded
-// decorrelated-jitter backoff, deterministic failures quarantine, and every
-// state transition that must survive a crash is durable:
+// fresh RunContext carrying the client's deadline/step budgets. Transient
+// failures retry with bounded decorrelated-jitter backoff, deterministic
+// failures quarantine (job_spec.h), and every state transition that must
+// survive a crash is durable:
 //
 //   state_dir/jobs/<seq>-<id>.job   journal record, written before a
 //                                   submit is acknowledged
@@ -26,10 +27,11 @@
 // was never killed — the kill-torture harness (tests/service_torture_test)
 // asserts exactly that across randomized SIGKILL points.
 //
-// Graceful drain (SIGTERM in the CLI): stop admitting (typed kDraining
-// rejections), cancel the in-flight job through its RunContext token,
-// persist the checkpoint it captures, flush the mdc::metrics snapshot, and
-// return with all state durable.
+// Graceful drain (SIGTERM in the CLI): once the drain token is cancelled
+// the worker dispatches nothing more and WaitIdle returns; Drain() then
+// stops admitting (typed kDraining rejections), persists the checkpoint
+// the interrupted job captured, flushes the mdc::metrics snapshot, and
+// returns with all state durable.
 //
 // All svc.* counters are charged at submit/commit points under the core
 // mutex, so for a fixed submission script they are byte-identical across
@@ -44,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -51,7 +54,6 @@
 
 #include "common/run_context.h"
 #include "common/status.h"
-#include "core/batch_runner.h"
 #include "service/admission.h"
 #include "service/dataset_cache.h"
 #include "service/job_spec.h"
@@ -61,12 +63,11 @@ namespace mdc::service {
 struct ServiceConfig {
   std::string state_dir;  // Created (one level) if missing.
   AdmissionConfig admission;
-  // Retry policy for transient failures, shared with the batch runner.
+  // Retry policy for transient failures: up to max_retries retries after
+  // the first attempt, delays from BackoffSequence starting at
+  // backoff_base_ms (0 = retry at once) and capped at one second.
   int max_retries = 2;
   int64_t backoff_base_ms = 10;
-  int64_t backoff_max_ms = 1000;
-  bool backoff_jitter = true;
-  uint64_t backoff_jitter_seed = 0;
   // Deadline applied to jobs that do not carry their own; 0 = unbounded.
   int64_t default_deadline_ms = 0;
   // Resident dataset cache (docs/service.md): file-backed job inputs are
@@ -121,13 +122,14 @@ class ServiceCore {
   };
   using Executor = std::function<ExecResult(const ExecRequest&)>;
 
-  // Validates/creates the state directory, replays the journal (recovery),
-  // and starts the dispatch worker. A corrupt (truncated / CRC-failing)
-  // journal or outcome record is quarantined — renamed to <file>.corrupt
-  // and counted under svc.recovery.quarantined — rather than aborting
-  // recovery: executors are deterministic, so re-running a job whose done
-  // record was lost to corruption reproduces the identical artifact, while
-  // one rotted record must not take down every healthy job beside it. I/O
+  // Validates the config (an executor, max_retries >= 0), creates the
+  // state directory, replays the journal (recovery), and starts the
+  // dispatch worker. A corrupt (truncated / CRC-failing) journal or
+  // outcome record is quarantined — renamed to <file>.corrupt and counted
+  // under svc.recovery.quarantined — rather than aborting recovery:
+  // executors are deterministic, so re-running a job whose done record
+  // was lost to corruption reproduces the identical artifact, while one
+  // rotted record must not take down every healthy job beside it. I/O
   // failures reading the state directory remain hard errors. Stray *.tmp
   // files from a previous hard kill are removed.
   static StatusOr<std::unique_ptr<ServiceCore>> Start(ServiceConfig config,
@@ -142,14 +144,17 @@ class ServiceCore {
   // before this returns. Only journal I/O failures are Status errors.
   StatusOr<AdmitDecision> Submit(const JobSpec& spec);
 
-  // Blocks until every admitted job is terminal, then closes the
+  // Blocks until every admitted job is terminal — or, once the drain token
+  // is cancelled, until the in-flight job has stopped — then closes the
   // admission window (the client-visible barrier that resets budgets).
   void WaitIdle();
 
   // Non-blocking idleness probe: true when nothing is queued or running.
   // The socket front-end polls this so a `wait` request never blocks the
   // event loop; on true it calls WaitIdle() for the window-reset barrier,
-  // which returns immediately (only the event loop submits).
+  // which returns immediately (only the event loop submits). A drain in
+  // progress does not make a backlog idle: the front-end answers its
+  // waiters with a draining rejection instead.
   bool Idle() const;
 
   // Graceful drain: stop admitting, checkpoint the in-flight job, stop
@@ -160,6 +165,14 @@ class ServiceCore {
   ServiceStats GetStats() const;
   // Terminal outcomes of this process life, in completion order.
   std::vector<JobOutcome> Outcomes() const;
+  // The terminal outcome of `id`, from this life or a done record of an
+  // earlier one; nullopt while the job is incomplete or unknown.
+  std::optional<JobOutcome> OutcomeOf(const std::string& id) const;
+  // Ids of every job journaled in `state_dir`, complete or not, read
+  // without starting a service (empty for a fresh directory). Corrupt
+  // records are skipped; Start() quarantines them.
+  static StatusOr<std::vector<std::string>> JournaledIds(
+      const std::string& state_dir);
   size_t recovered_jobs() const;
   // Corrupt records renamed to *.corrupt during this life's recovery.
   size_t quarantined_records() const { return quarantined_; }
@@ -177,6 +190,9 @@ class ServiceCore {
   ServiceCore(ServiceConfig config, Executor executor);
 
   Status Recover();                 // Journal replay; call before worker.
+  // Nothing running and nothing more to dispatch (the queue is empty or
+  // a drain has begun): what WaitIdle waits for. Requires mu_.
+  bool SettledLocked() const;
   void WorkerLoop();
   void ExecuteJob(const JobSpec& spec);
   // Artifact then done record, both durable; any failure is returned for
@@ -212,6 +228,19 @@ class ServiceCore {
 
   std::thread worker_;  // Started last, joined in Drain().
 };
+
+// The batch front ends (`mdc_cli batch`, the EXT-A release export): runs
+// `jobs` on a ServiceCore over `config.state_dir` — submit every job with
+// the admission window sized to fit them all, wait until idle, drain — and
+// returns one outcome per job in job order, read from the done records
+// (kPending for a job a drain left incomplete). Rerunning the same list on
+// the same directory resumes: recovery re-queues the incomplete jobs and
+// the finished ones answer duplicate_id. Ids must be valid and unique, and
+// a directory that journals an id outside `jobs` is refused before
+// anything runs.
+StatusOr<std::vector<JobOutcome>> RunJobList(ServiceConfig config,
+                                             ServiceCore::Executor executor,
+                                             const std::vector<JobSpec>& jobs);
 
 }  // namespace mdc::service
 

@@ -10,7 +10,10 @@
 //   - The same jobs submitted to `mdc_cli serve` over stdin: each artifact
 //     must equal the golden. Noise draws go through libm log/cos, so the
 //     noise job is checked as CLI == serve only, never against a file.
-//   - Bad numeric params are typed rejections on both front ends.
+//   - The anonymize jobs as rows of an `mdc_cli batch` jobs file: each
+//     release must equal the golden.
+//   - Bad numeric params are typed rejections on both front ends, and a
+//     batch id that would escape the state dir is rejected up front.
 //
 // To refresh after an intentional change, rerun a golden's command with
 // stdout/stderr redirected into tests/golden/ (the commands are the
@@ -29,7 +32,6 @@
 #include <vector>
 
 #include "common/csv.h"
-#include "core/batch_runner.h"
 #include "service/job_spec.h"
 #include "service_process_util.h"
 
@@ -220,6 +222,53 @@ TEST(CliGoldenTest, ServeArtifactsEqualTheGoldens) {
   EXPECT_EQ(ReadOrEmpty(state + "/artifacts/" + kNoiseJob.name), noise.out);
 }
 
+void WriteFile(const std::string& path, const std::string& body) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << body;
+  ASSERT_TRUE(out.good()) << path;
+}
+
+TEST(CliGoldenTest, BatchArtifactsEqualTheGoldens) {
+  const std::string dir = ScratchDir("batch");
+  std::string csv = "id,algorithm,k,input,schema,hierarchies\n";
+  std::vector<std::string> names;
+  for (const GoldenJob& job : GoldenJobs()) {
+    if (job.command != "anonymize") continue;
+    const std::string algorithm = job.name.substr(job.name.rfind('_') + 1);
+    csv += job.name + "," + algorithm + ",3," + kData + "/patients.csv,\"" +
+           kSchema + "\"," + kData + "/patients.spec\n";
+    names.push_back(job.name);
+  }
+  ASSERT_EQ(names.size(), 5u);
+  WriteFile(dir + "/jobs.csv", csv);
+  CliRun run = RunCli("batch --jobs " + dir + "/jobs.csv --checkpoint-dir " +
+                      dir + "/state");
+  ASSERT_EQ(run.exit_code, 0) << run.out << run.err;
+  EXPECT_NE(run.out.find("totals: ok=5 truncated=0 quarantined=0 "
+                         "exhausted=0 pending=0\n"),
+            std::string::npos)
+      << run.out;
+  for (const std::string& name : names) {
+    EXPECT_EQ(ReadOrEmpty(dir + "/state/artifacts/" + name),
+              Golden(name + ".txt"))
+        << name;
+  }
+}
+
+TEST(CliGoldenTest, BatchRejectsPathEscapingIds) {
+  // Ids name files under --checkpoint-dir: `../escaped` is a typed
+  // rejection before any job runs, and nothing lands outside the dir.
+  const std::string dir = ScratchDir("batch_escape");
+  WriteFile(dir + "/jobs.csv", "id,algorithm,k\n../escaped,datafly,3\n");
+  CliRun run = RunCli("batch --jobs " + dir + "/jobs.csv --checkpoint-dir " +
+                      dir + "/state");
+  EXPECT_EQ(run.exit_code, 1) << run.out;
+  EXPECT_EQ(run.err.rfind("error: invalid_argument: ", 0), 0u) << run.err;
+  std::vector<std::string> files;
+  testing::ListFilesUnder(dir, "", files);
+  EXPECT_EQ(files, std::vector<std::string>{"jobs.csv"});
+}
+
 TEST(CliGoldenTest, ServeQuarantinesBadNumericParams) {
   const std::string state = ScratchDir("serve_bad") + "/state";
   testing::CliProcess serve(MDC_CLI_BIN, {"serve", "--state-dir", state});
@@ -251,7 +300,7 @@ TEST(CliGoldenTest, ServeQuarantinesBadNumericParams) {
     ASSERT_TRUE(bytes.ok()) << id;
     auto outcome = service::DeserializeOutcome(*bytes);
     ASSERT_TRUE(outcome.ok()) << id;
-    EXPECT_EQ(outcome->state, JobState::kQuarantined) << id;
+    EXPECT_EQ(outcome->state, service::JobState::kQuarantined) << id;
     EXPECT_NE(outcome->message.find(expected[i]), std::string::npos)
         << outcome->message;
   }

@@ -184,9 +184,9 @@ std::map<std::string, std::function<Status()>> Drivers() {
     auto decision = (*core)->Submit(spec);
     MDC_CHECK(decision.ok());
     (*core)->WaitIdle();
-    std::vector<JobOutcome> outcomes = (*core)->Outcomes();
+    std::vector<service::JobOutcome> outcomes = (*core)->Outcomes();
     MDC_CHECK(outcomes.size() == 1);
-    if (outcomes[0].state == JobState::kOk) return Status::Ok();
+    if (outcomes[0].state == service::JobState::kOk) return Status::Ok();
     return Status::Internal(outcomes[0].message);
   };
   // The net.* sites live in the socket front-end's guarded syscall

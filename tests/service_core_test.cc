@@ -1,7 +1,9 @@
 // ServiceCore unit coverage: deterministic admission-window shedding,
 // deficit-round-robin fairness, tenant budgets, typed rejections, retry
-// supervision, graceful drain with checkpoint capture, and journal-replay
-// crash recovery — all in-process with instrumented executors. The
+// supervision and its backoff law, graceful drain with checkpoint capture,
+// journal-replay crash recovery, the jobs-CSV parser, and the batch
+// sequence (RunJobList: poisoned/flaky rows, kill then resume, replay of
+// terminal outcomes) — all in-process with instrumented executors. The
 // process-level SIGTERM/SIGKILL proofs live in service_drain_test.cc and
 // service_torture_test.cc.
 
@@ -10,7 +12,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -81,6 +86,104 @@ TEST(JobSpecTest, RejectsMalformedSubmits) {
   EXPECT_FALSE(ParseSubmitSpec("j1 deadline_ms=yesterday").ok());
   EXPECT_FALSE(ParseSubmitSpec("j1 stray-token").ok());
   EXPECT_FALSE(ParseSubmitSpec("j1 tenant=bad tenant").ok());
+  // Ids name files under the state dir; `..` would target the dir itself.
+  EXPECT_FALSE(ParseSubmitSpec(".").ok());
+  EXPECT_FALSE(ParseSubmitSpec("..").ok());
+  EXPECT_TRUE(ParseSubmitSpec("...").ok());
+}
+
+TEST(JobSpecTest, ParsesJobSpecCsvWithBudgetsAndParams) {
+  auto jobs = ParseJobSpecCsv(
+      "id,algorithm,k,deadline_ms,max_steps\n"
+      "a,datafly,2,,\n"
+      "b,samarati,5,2500,\n"
+      "c,optimal,10,,100000\n");
+  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
+  ASSERT_EQ(jobs->size(), 3u);
+  EXPECT_EQ((*jobs)[0].id, "a");
+  EXPECT_EQ((*jobs)[0].kind, "anonymize");
+  EXPECT_EQ((*jobs)[0].params.at("algorithm"), "datafly");
+  EXPECT_EQ((*jobs)[0].params.at("k"), "2");
+  EXPECT_EQ((*jobs)[0].deadline_ms, 0);
+  EXPECT_EQ((*jobs)[1].deadline_ms, 2500);
+  EXPECT_EQ((*jobs)[2].max_steps, 100000u);
+  // Budget columns become budgets, not params.
+  EXPECT_EQ((*jobs)[1].params.count("deadline_ms"), 0u);
+}
+
+TEST(JobSpecTest, RejectsMalformedJobSpecCsv) {
+  EXPECT_FALSE(ParseJobSpecCsv("").ok());
+  EXPECT_FALSE(ParseJobSpecCsv("algorithm,k\ndatafly,2\n").ok());  // No id.
+  EXPECT_FALSE(ParseJobSpecCsv("id,k\na,2\na,3\n").ok());   // Duplicate id.
+  EXPECT_FALSE(ParseJobSpecCsv("id,k\n,2\n").ok());             // Empty id.
+  EXPECT_FALSE(ParseJobSpecCsv("id,k\na\n").ok());             // Ragged row.
+  EXPECT_FALSE(ParseJobSpecCsv("id,deadline_ms\na,soon\n").ok());
+  EXPECT_FALSE(ParseJobSpecCsv("id,max_steps\na,-5\n").ok());
+  // Ids that are not safe file names are rejected, naming the row, before
+  // any job runs.
+  for (const char* id : {"../escaped", ".", "..", "a/b", "sp ace"}) {
+    auto jobs =
+        ParseJobSpecCsv("id,k\nok,2\n\"" + std::string(id) + "\",3\n");
+    ASSERT_FALSE(jobs.ok()) << id;
+    EXPECT_EQ(jobs.status().code(), StatusCode::kInvalidArgument) << id;
+    EXPECT_NE(jobs.status().message().find("row 3"), std::string::npos)
+        << jobs.status().message();
+  }
+}
+
+TEST(JobSpecTest, TransientStatusClassification) {
+  EXPECT_TRUE(IsTransientStatus(Status::DeadlineExceeded("x")));
+  EXPECT_TRUE(IsTransientStatus(Status::ResourceExhausted("x")));
+  EXPECT_TRUE(IsTransientStatus(Status::Internal("x")));
+  EXPECT_FALSE(IsTransientStatus(Status::InvalidArgument("x")));
+  EXPECT_FALSE(IsTransientStatus(Status::NotFound("x")));
+  EXPECT_FALSE(IsTransientStatus(Status::Cancelled("x")));
+  EXPECT_FALSE(IsTransientStatus(Status::Ok()));
+}
+
+TEST(BackoffTest, StaysWithinTheDecorrelatedEnvelope) {
+  const int64_t base = 10;
+  const int64_t max = 1000;
+  BackoffSequence backoff(base, max, /*seed=*/42, BackoffSalt("job-a"));
+  int64_t prev = base;
+  for (int retry = 1; retry <= 50; ++retry) {
+    int64_t delay = backoff.NextDelayMs();
+    EXPECT_GE(delay, base) << "retry " << retry;
+    EXPECT_LE(delay, max) << "retry " << retry;
+    // Decorrelated jitter bound: no delay exceeds 3x its predecessor.
+    EXPECT_LE(delay, std::max(base, 3 * prev)) << "retry " << retry;
+    prev = delay;
+  }
+}
+
+TEST(BackoffTest, IsReproduciblePerSeedAndSalt) {
+  auto draw = [](uint64_t seed, const std::string& job) {
+    BackoffSequence backoff(10, 1000, seed, BackoffSalt(job));
+    std::vector<int64_t> delays;
+    for (int retry = 1; retry <= 8; ++retry) {
+      delays.push_back(backoff.NextDelayMs());
+    }
+    return delays;
+  };
+  // Same seed + same job id -> the identical stream.
+  EXPECT_EQ(draw(42, "job-a"), draw(42, "job-a"));
+  // Different jobs under one seed (and different seeds for one job)
+  // desynchronize — the whole point of jitter.
+  EXPECT_NE(draw(42, "job-a"), draw(42, "job-b"));
+  EXPECT_NE(draw(42, "job-a"), draw(43, "job-a"));
+}
+
+TEST(BackoffTest, ZeroBaseNeverSleeps) {
+  BackoffSequence backoff(/*base_ms=*/0, /*max_ms=*/1000, /*seed=*/7,
+                          /*salt=*/9);
+  for (int retry = 1; retry <= 5; ++retry) {
+    EXPECT_EQ(backoff.NextDelayMs(), 0);
+  }
+}
+
+TEST(BackoffTest, SaltDiffersAcrossJobIds) {
+  EXPECT_NE(BackoffSalt("job-a"), BackoffSalt("job-b"));
+  EXPECT_EQ(BackoffSalt("job-a"), BackoffSalt("job-a"));
 }
 
 TEST(JobSpecTest, RecordsRoundTrip) {
@@ -510,6 +613,287 @@ TEST(ServiceCoreTest, ShedDecisionsIndependentOfWorkerSpeed) {
   EXPECT_EQ(fast[5], "overloaded_window");
   // Post-barrier window: fresh budget.
   EXPECT_EQ(fast[6], "admitted");
+}
+
+TEST(ServiceCoreTest, CancelledDrainTokenStopsDispatchAndReleasesWaitIdle) {
+  // A signal handler cancels the drain token without notifying anyone:
+  // the in-flight job stops, nothing queued behind it is dispatched, and a
+  // blocked WaitIdle returns so the front end can reach Drain().
+  std::string dir = FreshStateDir("token");
+  ServiceConfig config;
+  config.state_dir = dir;
+  CancellationToken signal = config.drain_token;
+  std::mutex mu;
+  int attempts = 0;
+  auto core = ServiceCore::Start(
+      config, [&](const ServiceCore::ExecRequest& request) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ++attempts;
+        }
+        while (request.run->Check().ok()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ServiceCore::ExecResult result;
+        result.status = request.run->exhausted();
+        return result;
+      });
+  ASSERT_TRUE(core.ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE((*core)->Submit(Spec("q" + std::to_string(i))).ok());
+  }
+  std::thread signaller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    signal.Cancel();
+  });
+  (*core)->WaitIdle();
+  signaller.join();
+  ServiceStats stats = (*core)->GetStats();
+  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(stats.queued, 4u);  // Never dispatched.
+  EXPECT_FALSE((*core)->Idle());  // A drain does not make a backlog idle.
+  ASSERT_TRUE((*core)->Drain().ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(attempts, 1);
+  }
+  EXPECT_TRUE((*core)->Outcomes().empty());
+
+  // The next life runs all five.
+  RecordingExecutor executor;
+  ServiceConfig next;
+  next.state_dir = dir;
+  auto resumed = ServiceCore::Start(next, executor.AsExecutor());
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ((*resumed)->recovered_jobs(), 5u);
+  (*resumed)->WaitIdle();
+  EXPECT_EQ((*resumed)->Outcomes().size(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// RunJobList: the batch front ends' submit -> wait -> drain -> collect.
+
+std::vector<JobSpec> MakeJobs(size_t count) {
+  std::vector<JobSpec> jobs;
+  for (size_t i = 0; i < count; ++i) {
+    jobs.push_back(Spec("job" + std::to_string(i)));
+  }
+  return jobs;
+}
+
+ServiceConfig ListConfig(const std::string& tag) {
+  ServiceConfig config;
+  config.state_dir = FreshStateDir(tag);
+  config.backoff_base_ms = 0;  // No sleeping in tests.
+  return config;
+}
+
+// An executor whose attempts return `attempt(request)`, with a per-job
+// artifact on success.
+ServiceCore::Executor StatusExecutor(
+    std::function<Status(const ServiceCore::ExecRequest&)> attempt) {
+  return [attempt](const ServiceCore::ExecRequest& request) {
+    ServiceCore::ExecResult result;
+    result.status = attempt(request);
+    if (result.status.ok()) result.artifact = request.spec.id + "\n";
+    return result;
+  };
+}
+
+const JobOutcome& OutcomeIn(const std::vector<JobOutcome>& outcomes,
+                            const std::string& id) {
+  auto it = std::ranges::find(outcomes, id, &JobOutcome::id);
+  MDC_CHECK(it != outcomes.end());
+  return *it;
+}
+
+TEST(JobListTest, PoisonedAndTransientJobsAmongHealthyOnes) {
+  // Twelve jobs: job3 deterministically poisoned (quarantined after ONE
+  // attempt, no retries wasted), job7 transient (fails twice, then
+  // succeeds), the rest healthy.
+  std::map<std::string, int> calls;
+  ServiceConfig config = ListConfig("poison");
+  config.max_retries = 3;
+  auto outcomes = RunJobList(
+      config,
+      StatusExecutor([&calls](const ServiceCore::ExecRequest& request) {
+        const std::string& id = request.spec.id;
+        int attempt = ++calls[id];
+        if (id == "job3") return Status::InvalidArgument("bad spec row");
+        if (id == "job7" && attempt <= 2) {
+          return Status::Internal("flaky dependency");
+        }
+        return Status::Ok();
+      }),
+      MakeJobs(12));
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  ASSERT_EQ(outcomes->size(), 12u);
+  EXPECT_EQ((*outcomes)[0].id, "job0");  // Job order.
+  EXPECT_EQ(CountState(*outcomes, JobState::kPending), 0u);
+  EXPECT_EQ(CountState(*outcomes, JobState::kOk), 11u);
+  EXPECT_EQ(CountState(*outcomes, JobState::kQuarantined), 1u);
+
+  const JobOutcome& poisoned = OutcomeIn(*outcomes, "job3");
+  EXPECT_EQ(poisoned.state, JobState::kQuarantined);
+  EXPECT_EQ(poisoned.attempts, 1u);  // Deterministic failures never retry.
+  EXPECT_EQ(calls["job3"], 1);
+  EXPECT_NE(poisoned.message.find("bad spec row"), std::string::npos);
+
+  const JobOutcome& flaky = OutcomeIn(*outcomes, "job7");
+  EXPECT_EQ(flaky.state, JobState::kOk);
+  EXPECT_EQ(flaky.attempts, 3u);
+  EXPECT_EQ(calls["job7"], 3);
+
+  std::string summary = OutcomeSummary(*outcomes);
+  EXPECT_NE(summary.find("quarantined"), std::string::npos);
+  EXPECT_NE(summary.find("retried x2"), std::string::npos);
+  EXPECT_NE(summary.find("ok=11"), std::string::npos);
+  EXPECT_EQ(summary.find("(aborted)"), std::string::npos);
+  auto artifact = ReadFileToString(config.state_dir + "/artifacts/job7");
+  ASSERT_TRUE(artifact.ok());
+  EXPECT_EQ(*artifact, "job7\n");
+}
+
+TEST(JobListTest, TransientFailuresExhaustAfterMaxRetries) {
+  int calls = 0;
+  ServiceConfig config = ListConfig("exhaust");
+  config.max_retries = 2;
+  auto outcomes = RunJobList(
+      config, StatusExecutor([&calls](const ServiceCore::ExecRequest&) {
+        ++calls;
+        return Status::DeadlineExceeded("always slow");
+      }),
+      MakeJobs(1));
+  ASSERT_TRUE(outcomes.ok());
+  EXPECT_EQ((*outcomes)[0].state, JobState::kExhausted);
+  EXPECT_EQ((*outcomes)[0].attempts, 3u);  // Initial + 2 retries.
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(JobListTest, BudgetTruncationIsReportedNotRetried) {
+  std::vector<JobSpec> jobs = MakeJobs(1);
+  jobs[0].max_steps = 1;
+  int calls = 0;
+  auto outcomes = RunJobList(
+      ListConfig("truncate"),
+      StatusExecutor([&calls](const ServiceCore::ExecRequest& request) {
+        ++calls;
+        // Exhaust the step budget, then degrade to a best-so-far answer
+        // the way the lattice searches do: the job itself succeeds.
+        while (request.run->Check().ok()) {
+        }
+        return Status::Ok();
+      }),
+      jobs);
+  ASSERT_TRUE(outcomes.ok());
+  EXPECT_EQ((*outcomes)[0].state, JobState::kTruncated);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(JobListTest, KilledListResumesAtFirstIncompleteJob) {
+  // "Kill" the list by cancelling the drain token from inside job5's
+  // executor, as a signal handler would; rerunning the same list on the
+  // same state dir must replay jobs 0-4 from their done records (zero
+  // executor calls) and run 5-11 for real.
+  std::vector<JobSpec> jobs = MakeJobs(12);
+  std::map<std::string, int> calls;
+  ServiceConfig config = ListConfig("resume");
+  CancellationToken kill = config.drain_token;  // Copies share one flag.
+  auto first = RunJobList(
+      config,
+      StatusExecutor(
+          [&calls, &kill](const ServiceCore::ExecRequest& request) {
+            ++calls[request.spec.id];
+            if (request.spec.id == "job5") {
+              kill.Cancel();
+              return Status::Cancelled("killed mid-list");
+            }
+            return Status::Ok();
+          }),
+      jobs);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(CountState(*first, JobState::kOk), 5u);
+  // The killed job and everything after it stay pending for the resume.
+  EXPECT_EQ(CountState(*first, JobState::kPending), 7u);
+  EXPECT_EQ(OutcomeIn(*first, "job5").state, JobState::kPending);
+  EXPECT_EQ(calls.size(), 6u);  // Jobs 6-11 were never attempted.
+  EXPECT_NE(OutcomeSummary(*first).find("pending=7 (aborted)"),
+            std::string::npos);
+
+  ServiceConfig resume = config;
+  resume.drain_token = CancellationToken();
+  auto second = RunJobList(
+      resume,
+      StatusExecutor([&calls](const ServiceCore::ExecRequest& request) {
+        ++calls[request.spec.id];
+        return Status::Ok();
+      }),
+      jobs);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(CountState(*second, JobState::kOk), 12u);
+  for (int i = 0; i < 12; ++i) {
+    // Completed jobs ran exactly once across both runs; the killed job
+    // ran once in each.
+    EXPECT_EQ(calls["job" + std::to_string(i)], i == 5 ? 2 : 1) << i;
+  }
+}
+
+TEST(JobListTest, ResumeReplaysTerminalFailuresWithoutRerunningThem) {
+  // Quarantined is terminal: rerunning a finished list re-runs nothing,
+  // including the quarantined job.
+  int calls = 0;
+  ServiceConfig config = ListConfig("terminal");
+  auto executor =
+      StatusExecutor([&calls](const ServiceCore::ExecRequest& request) {
+        ++calls;
+        if (request.spec.id == "job1") {
+          return Status::InvalidArgument("poisoned");
+        }
+        return Status::Ok();
+      });
+  ASSERT_TRUE(RunJobList(config, executor, MakeJobs(3)).ok());
+  EXPECT_EQ(calls, 3);
+
+  auto second = RunJobList(config, executor, MakeJobs(3));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(calls, 3);  // Nothing re-ran.
+  EXPECT_EQ(CountState(*second, JobState::kOk), 2u);
+  EXPECT_EQ(OutcomeIn(*second, "job1").state, JobState::kQuarantined);
+  EXPECT_NE(OutcomeIn(*second, "job1").message.find("poisoned"),
+            std::string::npos);
+}
+
+TEST(JobListTest, StateDirNamingAnUnknownJobIsRejected) {
+  // A state dir written for one list must not silently apply to another.
+  int calls = 0;
+  ServiceConfig config = ListConfig("unknown");
+  auto executor = StatusExecutor([&calls](const ServiceCore::ExecRequest&) {
+    ++calls;
+    return Status::Ok();
+  });
+  ASSERT_TRUE(RunJobList(config, executor, MakeJobs(3)).ok());
+
+  auto renamed = RunJobList(config, executor, {Spec("different")});
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_NE(renamed.status().message().find("unknown job id"),
+            std::string::npos);
+  EXPECT_EQ(calls, 3);  // Refused before anything ran.
+}
+
+TEST(JobListTest, RejectsBadJobLists) {
+  auto executor = StatusExecutor(
+      [](const ServiceCore::ExecRequest&) { return Status::Ok(); });
+  EXPECT_FALSE(RunJobList(ListConfig("null"), nullptr, MakeJobs(1)).ok());
+  std::vector<JobSpec> duplicate = MakeJobs(2);
+  duplicate[1].id = duplicate[0].id;
+  EXPECT_FALSE(RunJobList(ListConfig("dup"), executor, duplicate).ok());
+  for (const char* id : {"", "..", "../escaped"}) {
+    EXPECT_FALSE(RunJobList(ListConfig("bad_id"), executor, {Spec(id)}).ok())
+        << id;
+  }
+  ServiceConfig negative = ListConfig("negative");
+  negative.max_retries = -1;
+  EXPECT_FALSE(RunJobList(negative, executor, MakeJobs(1)).ok());
 }
 
 }  // namespace

@@ -1,27 +1,35 @@
 // Process-level drain semantics for the resident service and the batch
-// runner, driven against the real CLI binary (path injected via
-// MDC_CLI_BIN):
+// command (both run on ServiceCore), driven against the real CLI binary
+// (path injected via MDC_CLI_BIN):
 //
 //  * `mdc_cli serve` + SIGTERM: the daemon stops admitting, drains, and
 //    exits 0; the state directory holds no partially written artifacts
 //    (`*.tmp`), and a restart + resubmission converges to artifacts that
-//    are byte-identical to an uninterrupted reference run.
-//  * `mdc_cli batch` + SIGTERM mid-run: exit code 3, the checkpoint loads
+//    are byte-identical to an uninterrupted reference run. A SIGTERM that
+//    lands while a `wait` blocks stops dispatch: at most one attempt
+//    after the signal, however many jobs are queued.
+//  * `mdc_cli batch` + SIGTERM mid-run: exit code 3, the journal loads
 //    (re-running the same command resumes), no partial artifacts, and the
-//    resumed artifact set is byte-identical to an uninterrupted run.
+//    resumed artifact set is byte-identical to an uninterrupted run — also
+//    when the signal lands inside a Mondrian row, which must never be
+//    recorded as a truncated result.
 //  * The deterministic counters the service flushes at drain
 //    (state-dir/counters.txt) are byte-identical across --threads values.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/durable_io.h"
+#include "datagen/census_generator.h"
 #include "service_process_util.h"
 
 namespace mdc {
@@ -75,6 +83,35 @@ std::vector<std::pair<std::string, std::string>> ArtifactSet(
     set.emplace_back(name, ReadFileOrEmpty(state_dir + "/artifacts/" + name));
   }
   return set;
+}
+
+// The census microdata (datagen/census_generator.h) as a CSV file, and
+// the schema spec that reads it back.
+constexpr const char* kCensusSchema =
+    "age:int:qi,zip:string:qi,education:string:qi,marital:string:qi,"
+    "occupation:string:qi,disease:string:sensitive";
+
+std::string WriteCensus(const std::string& path, size_t rows) {
+  CensusConfig config;
+  config.rows = rows;
+  config.seed = 7;
+  auto census = GenerateCensus(config);
+  MDC_CHECK(census.ok());
+  MDC_CHECK(DurableWriteFile(path, census->data->ToCsv()).ok());
+  return path;
+}
+
+// name=value lines of a counters.txt.
+std::map<std::string, uint64_t> ReadCounters(const std::string& path) {
+  std::map<std::string, uint64_t> counters;
+  std::istringstream in(ReadFileOrEmpty(path));
+  std::string line;
+  while (std::getline(in, line)) {
+    size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    counters[line.substr(0, eq)] = std::stoull(line.substr(eq + 1));
+  }
+  return counters;
 }
 
 int CountTmpFiles(const std::string& dir) {
@@ -218,11 +255,82 @@ TEST(ServeDrainTest, DeterministicCountersAreIdenticalAcrossThreadCounts) {
       << "svc./batch./search. counters must not depend on --threads";
 }
 
+TEST(ServeDrainTest, SigtermDuringWaitStopsDispatching) {
+  // Six queued file-backed Mondrian jobs, a blocking `wait`, then SIGTERM
+  // once the first artifact is durable: the in-flight job is interrupted
+  // and nothing queued behind it is dispatched — no job parses its input
+  // only to be cancelled.
+  constexpr int kJobs = 6;
+  const std::string data =
+      WriteCensus(FreshDir("wait_data") + "/census.csv", 5000);
+  const std::string params = "kind=anonymize algorithm=mondrian k=5 input=" +
+                             data + " schema=" + kCensusSchema;
+  std::string reference;
+  {
+    CliProcess cli(MDC_CLI_BIN,
+                   {"anonymize", "--input", data, "--schema", kCensusSchema,
+                    "--algorithm", "mondrian", "--k", "5"});
+    cli.CloseStdin();
+    std::string line;
+    while (cli.ReadLine(line)) reference += line + "\n";
+    int status = cli.Wait();
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+
+  std::string dir;
+  std::map<std::string, uint64_t> counters;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    dir = FreshDir("wait_int_" + std::to_string(attempt));
+    CliProcess serve(MDC_CLI_BIN, {"serve", "--state-dir", dir});
+    std::string line;
+    ASSERT_TRUE(serve.ReadLine(line));
+    for (int i = 0; i < kJobs; ++i) {
+      ASSERT_TRUE(serve.SendLine("submit w" + std::to_string(i) + " " +
+                                 params));
+      ASSERT_TRUE(serve.ReadLine(line));
+      ASSERT_EQ(line.rfind("ok ", 0), 0u) << line;
+    }
+    ASSERT_TRUE(serve.SendLine("wait"));
+    for (int spin = 0; spin < 200000 && ArtifactSet(dir).empty(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    serve.Signal(SIGTERM);
+    int status = serve.Wait();
+    ASSERT_TRUE(WIFEXITED(status)) << "serve must drain, not die, on SIGTERM";
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    counters = ReadCounters(dir + "/counters.txt");
+    if (counters["svc.completed"] < kJobs) break;  // Jobs were queued.
+  }
+  ASSERT_LT(counters["svc.completed"], static_cast<uint64_t>(kJobs))
+      << "the queue drained before the signal in 5 tries";
+  EXPECT_LE(counters["svc.attempts"], counters["svc.completed"] + 1)
+      << "dispatch continued after the drain began";
+  EXPECT_LE(counters["svc.interrupted"], 1u);
+
+  // The next life completes every job byte-identically.
+  {
+    CliProcess serve(MDC_CLI_BIN, {"serve", "--state-dir", dir});
+    std::string line;
+    ASSERT_TRUE(serve.ReadLine(line));
+    ASSERT_TRUE(serve.SendLine("wait"));
+    ASSERT_TRUE(serve.ReadLine(line));
+    ASSERT_EQ(line, "ok wait idle");
+    serve.CloseStdin();
+    int status = serve.Wait();
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+  const auto artifacts = ArtifactSet(dir);
+  ASSERT_EQ(artifacts.size(), static_cast<size_t>(kJobs));
+  for (const auto& [name, bytes] : artifacts) {
+    EXPECT_EQ(bytes, reference) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// batch + SIGTERM: checkpoint loads, no partial artifacts, byte-identical
+// batch + SIGTERM: the journal loads, no partial artifacts, byte-identical
 // resume.
 
-std::string BatchJobsCsv(int jobs) {
+std::string TableJobsCsv(int jobs) {
   std::string csv = "id,algorithm,k\n";
   for (int i = 0; i < jobs; ++i) {
     // Alternate algorithms so the batch is not one homogeneous loop; the
@@ -233,19 +341,35 @@ std::string BatchJobsCsv(int jobs) {
   return csv;
 }
 
-int CountCsvArtifacts(const std::string& dir) {
+int CountArtifacts(const std::string& dir) {
   std::vector<std::string> files;
-  ListFilesUnder(dir, "", files);
-  int count = 0;
-  for (const std::string& f : files) {
-    if (f.size() >= 4 && f.compare(f.size() - 4, 4, ".csv") == 0) ++count;
-  }
-  return count;
+  ListFilesUnder(dir + "/artifacts", "", files);
+  return static_cast<int>(files.size());
+}
+
+int CountJournalRecords(const std::string& dir) {
+  std::vector<std::string> files;
+  ListFilesUnder(dir + "/jobs", "", files);
+  return static_cast<int>(files.size());
+}
+
+// Runs `mdc_cli batch` to exit; returns its stdout and sets `exit_code`.
+std::string InvokeBatch(const std::string& jobs_path, const std::string& dir,
+                     int& exit_code) {
+  CliProcess batch(MDC_CLI_BIN,
+                   {"batch", "--jobs", jobs_path, "--checkpoint-dir", dir});
+  batch.CloseStdin();
+  std::string out;
+  std::string line;
+  while (batch.ReadLine(line)) out += line + "\n";
+  int status = batch.Wait();
+  exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return out;
 }
 
 TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
   constexpr int kJobs = 48;
-  const std::string jobs_csv = BatchJobsCsv(kJobs);
+  const std::string jobs_csv = TableJobsCsv(kJobs);
 
   // Uninterrupted reference.
   std::string ref_dir = FreshDir("batch_ref");
@@ -259,12 +383,12 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
     ASSERT_TRUE(WIFEXITED(status));
     ASSERT_EQ(WEXITSTATUS(status), 0);
   }
-  ASSERT_EQ(CountCsvArtifacts(ref_dir), kJobs);
+  ASSERT_EQ(CountArtifacts(ref_dir), kJobs);
 
   // Interrupted run: SIGTERM once the batch is visibly mid-flight. The
-  // kill lands at a job boundary (cooperative cancellation), so with a
-  // 48-job batch the window is wide; if the batch still wins the race we
-  // retry on a fresh directory rather than flake.
+  // in-flight row stops and nothing more is dispatched, so with a 48-job
+  // batch the window is wide; if the batch still wins the race we retry on
+  // a fresh directory rather than flake.
   std::string dir;
   bool interrupted = false;
   for (int attempt = 0; attempt < 5 && !interrupted; ++attempt) {
@@ -274,7 +398,7 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
     CliProcess batch(MDC_CLI_BIN, {"batch", "--jobs", jobs_path,
                                    "--checkpoint-dir", dir});
     // Wait until at least two artifacts are durable, then pull the plug.
-    for (int spin = 0; spin < 20000 && CountCsvArtifacts(dir) < 2; ++spin) {
+    for (int spin = 0; spin < 20000 && CountArtifacts(dir) < 2; ++spin) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     batch.Signal(SIGTERM);
@@ -288,10 +412,10 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
   }
   ASSERT_TRUE(interrupted) << "could not interrupt a 48-job batch in 5 tries";
 
-  // Invariants at the interruption point: durable checkpoint, fewer
+  // Invariants at the interruption point: durable journal, fewer
   // artifacts than jobs, no torn writes.
-  EXPECT_FALSE(ReadFileOrEmpty(dir + "/batch_checkpoint.bin").empty());
-  EXPECT_LT(CountCsvArtifacts(dir), kJobs);
+  EXPECT_GT(CountJournalRecords(dir), 0);
+  EXPECT_LT(CountArtifacts(dir), kJobs);
   EXPECT_EQ(CountTmpFiles(dir), 0);
 
   // Resume: the same command again runs only the remainder and exits 0.
@@ -303,16 +427,73 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
     int status = batch.Wait();
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0)
-        << "checkpoint must load and the batch must complete on resume";
+        << "journal must load and the batch must complete on resume";
   }
-  ASSERT_EQ(CountCsvArtifacts(dir), kJobs);
+  ASSERT_EQ(CountArtifacts(dir), kJobs);
   EXPECT_EQ(CountTmpFiles(dir), 0);
 
   // Byte-identical artifacts versus the uninterrupted reference.
   for (int i = 0; i < kJobs; ++i) {
-    std::string name = "/job" + std::to_string(i) + ".csv";
+    std::string name = "/artifacts/job" + std::to_string(i);
     EXPECT_EQ(ReadFileOrEmpty(dir + name), ReadFileOrEmpty(ref_dir + name))
         << "artifact diverged after resume: job" << i;
+  }
+}
+
+TEST(BatchDrainTest, SigtermInsideAMondrianRowResumesByteIdentically) {
+  // Mondrian degrades to a best-so-far partition when cancelled, so a
+  // SIGTERM inside a Mondrian row must leave that row incomplete — never
+  // a terminal `truncated` outcome whose partial release the resumed
+  // batch would keep.
+  const std::string data =
+      WriteCensus(FreshDir("mondrian_data") + "/census.csv", 10000);
+  std::string jobs_csv = "id,algorithm,k,input,schema\n";
+  for (int k : {4, 5, 6, 7}) {
+    jobs_csv += "m" + std::to_string(k) + ",mondrian," + std::to_string(k) +
+                "," + data + ",\"" + kCensusSchema + "\"\n";
+  }
+  int exit_code = -1;
+  std::string ref_dir = FreshDir("mondrian_ref");
+  WriteFile(ref_dir + ".jobs.csv", jobs_csv);
+  InvokeBatch(ref_dir + ".jobs.csv", ref_dir, exit_code);
+  ASSERT_EQ(exit_code, 0);
+  ASSERT_EQ(CountArtifacts(ref_dir), 4);
+
+  // SIGTERM a third of a row's time after the first artifact lands, so it
+  // hits the second row's Mondrian run rather than a row boundary.
+  std::string dir;
+  bool interrupted = false;
+  for (int attempt = 0; attempt < 5 && !interrupted; ++attempt) {
+    dir = FreshDir("mondrian_int_" + std::to_string(attempt));
+    WriteFile(dir + ".jobs.csv", jobs_csv);
+    auto start = std::chrono::steady_clock::now();
+    CliProcess batch(MDC_CLI_BIN, {"batch", "--jobs", dir + ".jobs.csv",
+                                   "--checkpoint-dir", dir});
+    for (int spin = 0; spin < 600000 && CountArtifacts(dir) < 1; ++spin) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    std::this_thread::sleep_for((std::chrono::steady_clock::now() - start) /
+                                3);
+    batch.Signal(SIGTERM);
+    batch.CloseStdin();
+    int status = batch.Wait();
+    ASSERT_TRUE(WIFEXITED(status)) << "batch must exit cleanly on SIGTERM";
+    if (WEXITSTATUS(status) == 0) continue;  // Finished before the signal.
+    ASSERT_EQ(WEXITSTATUS(status), 3);
+    interrupted = true;
+  }
+  ASSERT_TRUE(interrupted) << "could not interrupt the batch in 5 tries";
+  EXPECT_LT(CountArtifacts(dir), 4);
+
+  std::string summary = InvokeBatch(dir + ".jobs.csv", dir, exit_code);
+  EXPECT_EQ(exit_code, 0) << summary;
+  EXPECT_NE(summary.find("totals: ok=4 truncated=0 "), std::string::npos)
+      << summary;
+  EXPECT_EQ(CountTmpFiles(dir), 0);
+  for (int k : {4, 5, 6, 7}) {
+    std::string name = "/artifacts/m" + std::to_string(k);
+    EXPECT_EQ(ReadFileOrEmpty(dir + name), ReadFileOrEmpty(ref_dir + name))
+        << "artifact diverged after resume: m" << k;
   }
 }
 

@@ -26,7 +26,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "core/batch_runner.h"
 #include "service/job_spec.h"
 #include "service/service_core.h"
 #include "service/transport.h"
@@ -86,7 +85,8 @@ JobSpec RandomValidSpec(uint64_t& rng) {
     for (size_t i = 0; i < len; ++i) {
       t.push_back(kTokenChars[NextRandom(rng) % 64]);
     }
-    return t;
+    // "." and ".." use only token characters but name directories.
+    return IsValidToken(t) ? t : "x" + t;
   };
   JobSpec spec;
   spec.id = token(1, 24);
