@@ -90,6 +90,7 @@ BENCHMARK(BM_Mondrian)
     ->Args({200, 5})
     ->Args({1000, 5})
     ->Args({5000, 5})
+    ->Args({10000, 5})  // perfbench/ scale.
     ->Args({1000, 2})
     ->Args({1000, 20});
 

@@ -82,7 +82,35 @@ void GroupByKeys(size_t row_count, GroupScratch& scratch) {
   }
 }
 
+// The member lists of a key-ordered group map, as spans in key order.
+template <typename GroupMap>
+std::vector<ClassSpan> SpansInKeyOrder(const GroupMap& groups) {
+  std::vector<ClassSpan> spans;
+  spans.reserve(groups.size());
+  for (const auto& [key, members] : groups) {
+    spans.emplace_back(members.data(), members.size());
+  }
+  return spans;
+}
+
 }  // namespace
+
+EquivalencePartition EquivalencePartition::FromOrderedGroups(
+    size_t row_count, const std::vector<ClassSpan>& groups) {
+  EquivalencePartition partition;
+  partition.class_of_row_.assign(row_count, 0);
+  partition.members_.reserve(row_count);
+  partition.offsets_.reserve(groups.size() + 1);
+  partition.offsets_.push_back(0);
+  for (ClassSpan members : groups) {
+    const size_t class_id = partition.offsets_.size() - 1;
+    for (size_t row : members) partition.class_of_row_[row] = class_id;
+    partition.members_.insert(partition.members_.end(), members.begin(),
+                              members.end());
+    partition.offsets_.push_back(partition.members_.size());
+  }
+  return partition;
+}
 
 EquivalencePartition EquivalencePartition::FromAnonymization(
     const Anonymization& anonymization) {
@@ -103,19 +131,7 @@ EquivalencePartition EquivalencePartition::FromColumns(
     if (it == groups.end()) it = groups.emplace(key, std::vector<size_t>{}).first;
     it->second.push_back(r);
   }
-  EquivalencePartition partition;
-  partition.class_of_row_.assign(dataset.row_count(), 0);
-  partition.members_.reserve(dataset.row_count());
-  partition.offsets_.reserve(groups.size() + 1);
-  partition.offsets_.push_back(0);
-  for (auto& [group_key, members] : groups) {
-    size_t class_id = partition.offsets_.size() - 1;
-    for (size_t row : members) partition.class_of_row_[row] = class_id;
-    partition.members_.insert(partition.members_.end(), members.begin(),
-                              members.end());
-    partition.offsets_.push_back(partition.members_.size());
-  }
-  return partition;
+  return FromOrderedGroups(dataset.row_count(), SpansInKeyOrder(groups));
 }
 
 EquivalencePartition EquivalencePartition::FromCodeColumns(
@@ -206,17 +222,7 @@ EquivalencePartition EquivalencePartition::FromCodeColumns(
       for (size_t pos = 0; pos < m; ++pos) key[pos] = code_columns[pos][row];
       groups[key].push_back(row);
     }
-    partition.class_of_row_.assign(row_count, 0);
-    partition.members_.reserve(row_count);
-    partition.offsets_.reserve(groups.size() + 1);
-    partition.offsets_.push_back(0);
-    for (auto& [group_key, members] : groups) {
-      size_t class_id = partition.offsets_.size() - 1;
-      for (size_t row : members) partition.class_of_row_[row] = class_id;
-      partition.members_.insert(partition.members_.end(), members.begin(),
-                                members.end());
-      partition.offsets_.push_back(partition.members_.size());
-    }
+    partition = FromOrderedGroups(row_count, SpansInKeyOrder(groups));
   }
 
   MDC_METRIC_INC("partition.builds");

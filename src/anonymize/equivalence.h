@@ -18,12 +18,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "anonymize/generalizer.h"
+#include "common/status.h"
 #include "table/dataset.h"
 
 namespace mdc {
+
+class RunContext;
+struct MondrianConfig;
+struct MondrianResult;
 
 // Borrowed view of one class's row indices (ascending row order). Valid
 // only while the owning EquivalencePartition is alive and unmodified.
@@ -180,6 +186,17 @@ class EquivalencePartition {
   size_t MinClassSizeExempting(const std::vector<bool>& exempt) const;
 
  private:
+  // Mondrian knows its classes without regrouping the release: it hands
+  // them to FromOrderedGroups directly (anonymize/mondrian.h).
+  friend StatusOr<MondrianResult> MondrianAnonymize(
+      std::shared_ptr<const Dataset> original, const MondrianConfig& config,
+      RunContext* run);
+
+  // The one CSR builder: `groups` are the classes in canonical order, each
+  // ascending, together covering rows [0, row_count) exactly once.
+  static EquivalencePartition FromOrderedGroups(
+      size_t row_count, const std::vector<ClassSpan>& groups);
+
   // CSR storage: members_[offsets_[c] .. offsets_[c+1]) are class c's row
   // indices in ascending row order; offsets_ has class_count()+1 entries
   // (empty only for a default-constructed partition).

@@ -12,6 +12,14 @@
 // Categorical attributes are treated as ordered by their value (the
 // relaxation LeFevre et al. call "ordered categorical"); this is
 // documented as a substitution in DESIGN.md.
+//
+// The partitioning runs on the dictionary codes of the QI columns
+// (table/encoded_view.h), whose order is the Value order: a spread is a
+// min/max or distinct count over u32, a median cut is a selection plus a
+// counting pass, and each finished partition's labels are built once from
+// its min and max codes. The equivalence partition is emitted directly
+// (classes in label-tuple order, partitions that print the same labels
+// merged), never regrouped from the release strings.
 
 #ifndef MDC_ANONYMIZE_MONDRIAN_H_
 #define MDC_ANONYMIZE_MONDRIAN_H_

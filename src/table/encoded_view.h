@@ -6,8 +6,12 @@
 // view lets lattice-node evaluation run entirely on integers — a
 // generalization level becomes an O(distinct) code-translation table
 // (hierarchy/level_codec.h) and applying it is an O(rows) gather, with zero
-// per-row string work. The hot loops of the five lattice searches all run
-// on this representation.
+// per-row string work. The hot loops of the five lattice searches and of
+// Mondrian all run on this representation.
+//
+// Build is hash-first: one pass assigns each cell its value's first-seen
+// id, then only the D distinct values are sorted and the ids remapped, so
+// a column costs O(N + D log D) rather than a sort of all N cells.
 
 #ifndef MDC_TABLE_ENCODED_VIEW_H_
 #define MDC_TABLE_ENCODED_VIEW_H_

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -353,6 +354,16 @@ int CountJournalRecords(const std::string& dir) {
   return static_cast<int>(files.size());
 }
 
+// Waits until `dir` holds at least `count` artifact files (the temporary
+// file of an artifact being written counts); returns when that was seen.
+std::chrono::steady_clock::time_point WaitForArtifacts(const std::string& dir,
+                                                       int count) {
+  for (int spin = 0; spin < 600000 && CountArtifacts(dir) < count; ++spin) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return std::chrono::steady_clock::now();
+}
+
 // Runs `mdc_cli batch` to exit; returns its stdout and sets `exit_code`.
 std::string InvokeBatch(const std::string& jobs_path, const std::string& dir,
                      int& exit_code) {
@@ -452,49 +463,88 @@ TEST(BatchDrainTest, SigtermInsideAMondrianRowResumesByteIdentically) {
     jobs_csv += "m" + std::to_string(k) + ",mondrian," + std::to_string(k) +
                 "," + data + ",\"" + kCensusSchema + "\"\n";
   }
-  int exit_code = -1;
+  // Reference run, timed: a row whose input is already cached takes
+  // `row` from one artifact to the next (the median of the three gaps).
   std::string ref_dir = FreshDir("mondrian_ref");
   WriteFile(ref_dir + ".jobs.csv", jobs_csv);
-  InvokeBatch(ref_dir + ".jobs.csv", ref_dir, exit_code);
-  ASSERT_EQ(exit_code, 0);
+  std::chrono::steady_clock::duration row{};
+  {
+    CliProcess batch(MDC_CLI_BIN, {"batch", "--jobs", ref_dir + ".jobs.csv",
+                                   "--checkpoint-dir", ref_dir});
+    std::vector<std::chrono::steady_clock::duration> gaps;
+    auto previous = WaitForArtifacts(ref_dir, 1);
+    for (int count = 2; count <= 4; ++count) {
+      const auto next = WaitForArtifacts(ref_dir, count);
+      gaps.push_back(next - previous);
+      previous = next;
+    }
+    std::sort(gaps.begin(), gaps.end());
+    row = gaps[1];
+    batch.CloseStdin();
+    int status = batch.Wait();
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
   ASSERT_EQ(CountArtifacts(ref_dir), 4);
+  const uint64_t reference_steps =
+      ReadCounters(ref_dir + "/counters.txt")["run.steps"];
+  ASSERT_GT(reference_steps, 0u);
 
-  // SIGTERM a third of a row's time after the first artifact lands, so it
-  // hits the second row's Mondrian run rather than a row boundary.
-  std::string dir;
-  bool interrupted = false;
-  for (int attempt = 0; attempt < 5 && !interrupted; ++attempt) {
-    dir = FreshDir("mondrian_int_" + std::to_string(attempt));
+  // Each attempt SIGTERMs a fraction of a row after the first artifact
+  // lands, inside the second row, then resumes. The deterministic run.*
+  // counters say where the signal landed: the two lives together charge
+  // the reference run's steps plus the steps the interrupted Mondrian
+  // took before it saw the cancellation (run.cancelled). Two or more mean
+  // the signal arrived inside the recursion, after its first budget
+  // check; a Mondrian that finished first never saw it. The recursion
+  // runs early in a row (its release is rendered and written after it),
+  // so attempt i aims at half the i-th point of the base-2 van der Corput
+  // sequence (1/4, 1/8, 3/8, 1/16, ...): the first half of the row,
+  // covered ever more finely whatever the timing noise. Every attempt
+  // must resume byte-identically wherever its signal landed.
+  bool landed_in_mondrian = false;
+  int exit_code = -1;
+  for (int attempt = 1; attempt <= 16 && !landed_in_mondrian; ++attempt) {
+    double fraction = 0.0;
+    for (int bits = attempt, scale = 4; bits > 0; bits >>= 1, scale *= 2) {
+      fraction += static_cast<double>(bits & 1) / scale;
+    }
+    const std::string dir =
+        FreshDir("mondrian_int_" + std::to_string(attempt));
     WriteFile(dir + ".jobs.csv", jobs_csv);
-    auto start = std::chrono::steady_clock::now();
     CliProcess batch(MDC_CLI_BIN, {"batch", "--jobs", dir + ".jobs.csv",
                                    "--checkpoint-dir", dir});
-    for (int spin = 0; spin < 600000 && CountArtifacts(dir) < 1; ++spin) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    std::this_thread::sleep_for((std::chrono::steady_clock::now() - start) /
-                                3);
+    std::this_thread::sleep_until(
+        WaitForArtifacts(dir, 1) +
+        std::chrono::duration_cast<std::chrono::microseconds>(row *
+                                                              fraction));
     batch.Signal(SIGTERM);
     batch.CloseStdin();
     int status = batch.Wait();
     ASSERT_TRUE(WIFEXITED(status)) << "batch must exit cleanly on SIGTERM";
     if (WEXITSTATUS(status) == 0) continue;  // Finished before the signal.
     ASSERT_EQ(WEXITSTATUS(status), 3);
-    interrupted = true;
-  }
-  ASSERT_TRUE(interrupted) << "could not interrupt the batch in 5 tries";
-  EXPECT_LT(CountArtifacts(dir), 4);
+    EXPECT_LT(CountArtifacts(dir), 4);
+    std::map<std::string, uint64_t> interrupted =
+        ReadCounters(dir + "/counters.txt");
 
-  std::string summary = InvokeBatch(dir + ".jobs.csv", dir, exit_code);
-  EXPECT_EQ(exit_code, 0) << summary;
-  EXPECT_NE(summary.find("totals: ok=4 truncated=0 "), std::string::npos)
-      << summary;
-  EXPECT_EQ(CountTmpFiles(dir), 0);
-  for (int k : {4, 5, 6, 7}) {
-    std::string name = "/artifacts/m" + std::to_string(k);
-    EXPECT_EQ(ReadFileOrEmpty(dir + name), ReadFileOrEmpty(ref_dir + name))
-        << "artifact diverged after resume: m" << k;
+    std::string summary = InvokeBatch(dir + ".jobs.csv", dir, exit_code);
+    EXPECT_EQ(exit_code, 0) << summary;
+    EXPECT_NE(summary.find("totals: ok=4 truncated=0 "), std::string::npos)
+        << summary;
+    EXPECT_EQ(CountTmpFiles(dir), 0);
+    for (int k : {4, 5, 6, 7}) {
+      std::string name = "/artifacts/m" + std::to_string(k);
+      EXPECT_EQ(ReadFileOrEmpty(dir + name), ReadFileOrEmpty(ref_dir + name))
+          << "artifact diverged after resume: m" << k;
+    }
+    const uint64_t both_lives =
+        interrupted["run.steps"] +
+        ReadCounters(dir + "/counters.txt")["run.steps"];
+    landed_in_mondrian = interrupted["run.cancelled"] == 1 &&
+                         both_lives >= reference_steps + 2;
   }
+  ASSERT_TRUE(landed_in_mondrian)
+      << "no SIGTERM landed inside a Mondrian recursion in 16 tries";
 }
 
 }  // namespace
