@@ -1,8 +1,7 @@
 // Comparison-engine benchmarks backing BENCH_comparison.json (see
 // docs/performance.md):
-//   1. scalar vs packed all-pairs throughput at N ∈ {1e4, 1e5, 1e6},
-//      r ∈ {2, 8, 32} — the packed/scalar items_per_second ratio is the
-//      single-thread kernel speedup;
+//   1. packed all-pairs throughput at N ∈ {1e4, 1e5, 1e6}, r ∈ {2, 8, 32},
+//      single-threaded;
 //   2. packed thread scaling at N = 1e6, r = 8 over {1, 2, 4, hw}
 //      threads — 1-vs-N throughput ratios are the parallel speedup;
 //   3. a thread-invariance check benchmark that asserts results and
@@ -66,12 +65,11 @@ std::string Fingerprint(const AllPairsResult& result) {
   return out;
 }
 
-void RunAllPairs(benchmark::State& state, CompareEngine engine) {
+void BM_AllPairs_Packed(benchmark::State& state) {
   const size_t cols = static_cast<size_t>(state.range(0));
   const size_t rows = static_cast<size_t>(state.range(1));
   PropertyMatrix matrix = MakeMatrix(rows, cols, /*seed=*/77);
   AllPairsOptions options;
-  options.engine = engine;
   options.threads = static_cast<int>(state.range(2));
   size_t pairs = 0;
   for (auto _ : state) {
@@ -86,25 +84,6 @@ void RunAllPairs(benchmark::State& state, CompareEngine engine) {
   // docs/performance.md compares against measured peak bandwidth.
   state.SetBytesProcessed(
       static_cast<int64_t>(pairs * cols * 2 * sizeof(double)));
-}
-
-void BM_AllPairs_Scalar(benchmark::State& state) {
-  RunAllPairs(state, CompareEngine::kScalar);
-}
-BENCHMARK(BM_AllPairs_Scalar)
-    ->Args({10000, 2, 1})
-    ->Args({10000, 8, 1})
-    ->Args({10000, 32, 1})
-    ->Args({100000, 2, 1})
-    ->Args({100000, 8, 1})
-    ->Args({100000, 32, 1})
-    ->Args({1000000, 2, 1})
-    ->Args({1000000, 8, 1})
-    ->Args({1000000, 32, 1})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AllPairs_Packed(benchmark::State& state) {
-  RunAllPairs(state, CompareEngine::kPacked);
 }
 BENCHMARK(BM_AllPairs_Packed)
     ->Args({10000, 2, 1})

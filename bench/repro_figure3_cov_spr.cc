@@ -54,7 +54,7 @@ int main() {
 
   repro::Banner("Packed engine cross-check (P_cov / P_spr, fused pass)");
   PairwiseStats stats = ComputePairwiseStats(
-      d1.values().data(), d2.values().data(), d1.size(), /*with_hv=*/false);
+      d1.values().data(), d2.values().data(), d1.size());
   repro::CheckEq("packed P_cov(D1,D2) == scalar", CoverageIndex(d1, d2),
                  CoverageFromStats(stats, d1.size(), /*forward=*/true),
                  /*tolerance=*/0.0);
@@ -66,8 +66,7 @@ int main() {
   repro::CheckEq("packed P_spr(D2,D1) == scalar", SpreadIndex(d2, d1),
                  stats.spr21, /*tolerance=*/0.0);
   PairwiseStats anon_stats = ComputePairwiseStats(
-      two_anon.values().data(), three_anon.values().data(), two_anon.size(),
-      /*with_hv=*/false);
+      two_anon.values().data(), three_anon.values().data(), two_anon.size());
   repro::CheckEq("packed spread still prefers 2-anon", 1.0,
                  anon_stats.spr12 > anon_stats.spr21 ? 1.0 : 0.0);
   return repro::Finish();

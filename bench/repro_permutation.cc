@@ -20,8 +20,10 @@
 #include "common/strings.h"
 #include "common/text_table.h"
 #include "core/compare_engine.h"
+#include "core/dominance.h"
 #include "core/permutation_metrics.h"
 #include "core/property_matrix.h"
+#include "core/quality_index.h"
 #include "datagen/census_generator.h"
 
 using namespace mdc;
@@ -109,7 +111,6 @@ int main() {
     auto matrix = PropertyMatrix::FromSet(set);
     MDC_CHECK(matrix.ok());
     AllPairsOptions options;
-    options.engine = CompareEngine::kPacked;
     options.d_max =
         PropertyVector("ideal", std::vector<double>(matrix->cols(), 1.0));
     auto packed = AllPairsCompare(*matrix, options);
@@ -135,18 +136,21 @@ int main() {
     std::printf("%s\n", ranks.Render().c_str());
 
     // The differential cross-check every repro driver with a packed
-    // section carries: scalar must agree exactly.
-    options.engine = CompareEngine::kScalar;
-    auto scalar = AllPairsCompare(*matrix, options);
-    MDC_CHECK(scalar.ok());
-    bool identical = scalar->pairs.size() == packed->pairs.size();
-    for (size_t i = 0; identical && i < scalar->pairs.size(); ++i) {
-      const PairComparison& a = scalar->pairs[i];
-      const PairComparison& b = packed->pairs[i];
-      identical = a.relation == b.relation && a.cov12 == b.cov12 &&
-                  a.cov21 == b.cov21 && a.spr12 == b.spr12 &&
-                  a.spr21 == b.spr21 && a.rank1 == b.rank1 &&
-                  a.rank2 == b.rank2;
+    // section carries: the scalar §5 functions, pair by pair, must agree
+    // exactly.
+    bool identical =
+        packed->pairs.size() == set.size() * (set.size() - 1) / 2;
+    for (size_t i = 0; identical && i < packed->pairs.size(); ++i) {
+      const PairComparison& pair = packed->pairs[i];
+      const PropertyVector& d1 = set[pair.first];
+      const PropertyVector& d2 = set[pair.second];
+      identical = pair.relation == CompareDominance(d1, d2) &&
+                  pair.cov12 == CoverageIndex(d1, d2) &&
+                  pair.cov21 == CoverageIndex(d2, d1) &&
+                  pair.spr12 == SpreadIndex(d1, d2) &&
+                  pair.spr21 == SpreadIndex(d2, d1) &&
+                  pair.rank1 == RankIndex(d1, options.d_max) &&
+                  pair.rank2 == RankIndex(d2, options.d_max);
     }
     std::printf("packed-vs-scalar cross-check (%s): %s\n\n",
                 dimension.c_str(), identical ? "ok" : "MISMATCH");

@@ -85,10 +85,7 @@ int main() {
               CompareDominance(s4, sa)
           ? 1.0
           : 0.0);
-  auto y1 = PropertyMatrix::FromSet(set1);
-  auto y2 = PropertyMatrix::FromSet(set2);
-  MDC_CHECK(y1.ok() && y2.ok());
   repro::CheckEq("packed set-level strong(Y1,Y2) == scalar", 1.0,
-                 PackedSetStronglyDominates(*y1, *y2) ? 1.0 : 0.0);
+                 PackedSetStronglyDominates(set1, set2) ? 1.0 : 0.0);
   return repro::Finish();
 }

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "anonymize/generalizer.h"
 #include "common/metrics.h"
@@ -86,8 +87,9 @@ inline std::string RenderRelease(const Anonymization& anonymization,
 // "--max-steps <n>" bound the algorithm runs (see docs/error_handling.md);
 // "--threads <n>" (accepted when `threads` is non-null) sets the lattice
 // searches' worker-thread count (docs/performance.md — results are
-// identical for any value). "--metrics-out <file>" / "--trace-out <file>"
-// write the metrics snapshot / Chrome-trace JSON when the driver finishes
+// identical for any value; values outside int are rejected, not
+// wrapped). "--metrics-out <file>" / "--trace-out <file>" write the
+// metrics snapshot / Chrome-trace JSON when the program finishes
 // (docs/observability.md). Returns &storage when a budget was requested,
 // nullptr otherwise; malformed or unknown arguments terminate with exit
 // code 2.
@@ -106,7 +108,7 @@ inline RunContext* ParseBudgetFlags(int argc, char** argv,
       storage.set_max_steps(static_cast<uint64_t>(*value));
       budgeted = true;
     } else if (flag == "--threads" && threads != nullptr &&
-               value.has_value()) {
+               value.has_value() && std::in_range<int>(*value)) {
       *threads = static_cast<int>(*value);
     } else if (flag == "--metrics-out" && i + 1 < argc) {
       g_metrics_out = argv[i + 1];

@@ -6,7 +6,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/compare_kernels.h"
-#include "core/quality_index.h"
 
 namespace mdc {
 namespace {
@@ -17,16 +16,16 @@ namespace {
 // N=1e6 (rows far beyond LLC) that cuts DRAM traffic per pair-element
 // from 16 bytes toward 8·(1+count)/count.
 //
-// Bit-exactness vs the per-pair path: every per-partner accumulator
+// Bit-exactness vs the scalar code: every per-partner accumulator
 // (counts, spreads, hv own/shared products) advances across blocks in
-// index order exactly as ComputePairwiseStats does, and the own1 product
-// depends only on row i, so hoisting it out of the partner loop keeps
-// its chain identical for every pair.
-void EvaluateRowGroupPacked(const PropertyMatrix& matrix, size_t i,
-                            const std::pair<size_t, size_t>* pairs,
-                            size_t count, const AllPairsOptions& options,
-                            const std::vector<double>& row_mins,
-                            PairComparison* out) {
+// index order 0..N-1, and the own1 product depends only on row i, so
+// hoisting it out of the partner loop keeps its chain identical for
+// every pair.
+void EvaluateRowGroup(const PropertyMatrix& matrix, size_t i,
+                      const std::pair<size_t, size_t>* pairs, size_t count,
+                      const AllPairsOptions& options,
+                      const std::vector<double>& row_mins,
+                      PairComparison* out) {
   const CompareKernels& kernels = ActiveCompareKernels();
   const size_t n = matrix.cols();
   const double* d1 = matrix.row(i);
@@ -91,58 +90,6 @@ void EvaluateRowGroupPacked(const PropertyMatrix& matrix, size_t i,
   }
 }
 
-// The differential oracle: the same pair scored by the legacy
-// element-at-a-time code paths.
-PairComparison ComparePairScalar(const PropertySet& rows, size_t i, size_t j,
-                                 const AllPairsOptions& options) {
-  PairComparison pair;
-  pair.first = i;
-  pair.second = j;
-  const PropertyVector& d1 = rows[i];
-  const PropertyVector& d2 = rows[j];
-  pair.relation = CompareDominance(d1, d2);
-  pair.cov12 = CoverageIndex(d1, d2);
-  pair.cov21 = CoverageIndex(d2, d1);
-  pair.binary12 = StrictlyBetterCount(d1, d2);
-  pair.binary21 = StrictlyBetterCount(d2, d1);
-  pair.spr12 = SpreadIndex(d1, d2);
-  pair.spr21 = SpreadIndex(d2, d1);
-  pair.min1 = MinIndex(d1);
-  pair.min2 = MinIndex(d2);
-  if (options.include_hypervolume) {
-    pair.hv12 = HypervolumeIndex(d1, d2);
-    pair.hv21 = HypervolumeIndex(d2, d1);
-  }
-  return pair;
-}
-
-Status ValidateKinds(const PropertyMatrix& s1,
-                     const std::vector<PackedBinaryIndexKind>& kinds) {
-  if (kinds.size() != 1 && kinds.size() != s1.rows()) {
-    return Status::InvalidArgument(
-        "index list must have one entry or one per property");
-  }
-  return Status::Ok();
-}
-
-Status ValidateAlignment(const PropertyMatrix& s1, const PropertyMatrix& s2) {
-  if (s1.rows() != s2.rows()) {
-    return Status::InvalidArgument("property sets have different arity");
-  }
-  if (s1.empty()) {
-    return Status::InvalidArgument("property sets are empty");
-  }
-  if (s1.cols() != s2.cols()) {
-    return Status::InvalidArgument("aligned property vectors differ in size");
-  }
-  return Status::Ok();
-}
-
-PackedBinaryIndexKind KindAt(const std::vector<PackedBinaryIndexKind>& kinds,
-                             size_t i) {
-  return kinds.size() == 1 ? kinds[0] : kinds[i];
-}
-
 Status RequirePositive(const PropertyMatrix& matrix) {
   for (size_t r = 0; r < matrix.rows(); ++r) {
     const double* values = matrix.row(r);
@@ -158,42 +105,7 @@ Status RequirePositive(const PropertyMatrix& matrix) {
   return Status::Ok();
 }
 
-// P_cov / P_spr / P_hv of one aligned row pair, by kind. The spread and
-// hypervolume accumulations run in index order, matching the scalar code.
-double PackedBinaryValue(PackedBinaryIndexKind kind, const double* a,
-                         const double* b, size_t n, bool forward) {
-  PairwiseStats stats = ComputePairwiseStats(
-      a, b, n, /*with_hv=*/kind == PackedBinaryIndexKind::kHypervolume,
-      kCompareBlockSize, /*with_min=*/false);  // No kind reads the mins.
-  switch (kind) {
-    case PackedBinaryIndexKind::kCoverage:
-      return CoverageFromStats(stats, n, forward);
-    case PackedBinaryIndexKind::kSpread:
-      return forward ? stats.spr12 : stats.spr21;
-    case PackedBinaryIndexKind::kHypervolume:
-      return forward ? stats.hv12 : stats.hv21;
-  }
-  return 0.0;
-}
-
 }  // namespace
-
-const char* CompareEngineName(CompareEngine engine) {
-  switch (engine) {
-    case CompareEngine::kScalar:
-      return "scalar";
-    case CompareEngine::kPacked:
-      return "packed";
-  }
-  return "unknown";
-}
-
-StatusOr<CompareEngine> ParseCompareEngine(const std::string& name) {
-  if (name == "scalar") return CompareEngine::kScalar;
-  if (name == "packed") return CompareEngine::kPacked;
-  return Status::InvalidArgument("unknown compare engine '" + name +
-                                 "' (expected scalar|packed)");
-}
 
 bool PackedWeaklyDominates(const double* d1, const double* d2, size_t n) {
   return ActiveCompareKernels().weakly_dominates(d1, d2, n);
@@ -239,18 +151,13 @@ double PackedRankIndex(const double* d, const double* d_max, size_t n,
 }
 
 PairwiseStats ComputePairwiseStats(const double* d1, const double* d2,
-                                   size_t n, bool with_hv, size_t block,
-                                   bool with_min) {
+                                   size_t n, size_t block) {
   MDC_CHECK_GT(n, 0u);
   MDC_CHECK_GT(block, 0u);
   const CompareKernels& kernels = ActiveCompareKernels();
   PairwiseStats stats;
-  stats.with_hv = with_hv;
   stats.min1 = d1[0];
   stats.min2 = d2[0];
-  double own1 = 1.0;
-  double own2 = 1.0;
-  double shared = 1.0;
   for (size_t start = 0; start < n; start += block) {
     const size_t end = std::min(n, start + block);
     const size_t len = end - start;
@@ -263,25 +170,10 @@ PairwiseStats ComputePairwiseStats(const double* d1, const double* d2,
     // once the sweep is done.
     kernels.count_spread(d1 + start, d2 + start, len, &stats.gt12,
                          &stats.gt21, &stats.spr12, &stats.spr21);
-    if (with_min) {
-      // Running mins, blocked for locality, with min_element's
-      // first-occurrence rule (the kernel contract).
-      stats.min1 = kernels.row_min(d1 + start, len, stats.min1);
-      stats.min2 = kernels.row_min(d2 + start, len, stats.min2);
-    }
-    if (with_hv) {
-      for (size_t i = start; i < end; ++i) {
-        MDC_CHECK_MSG(d1[i] > 0.0 && d2[i] > 0.0,
-                      "hypervolume indices require strictly positive entries");
-        own1 *= d1[i];
-        own2 *= d2[i];
-        shared *= std::min(d1[i], d2[i]);
-      }
-    }
-  }
-  if (with_hv) {
-    stats.hv12 = own1 - shared;
-    stats.hv21 = own2 - shared;
+    // Running mins, blocked for locality, with min_element's
+    // first-occurrence rule (the kernel contract).
+    stats.min1 = kernels.row_min(d1 + start, len, stats.min1);
+    stats.min2 = kernels.row_min(d2 + start, len, stats.min2);
   }
   // Finite entries are totally ordered: d1[i] >= d2[i] ⟺ ¬(d2[i] > d1[i]).
   stats.ge12 = n - stats.gt21;
@@ -358,21 +250,15 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
   }
   MDC_METRIC_INC("cmp.runs");
 
-  const bool packed = options.engine == CompareEngine::kPacked;
-  PropertySet scalar_rows;
+  // One min pass per row instead of two per pair: minima are unary, so
+  // this turns O(r²·N) min work into O(r·N). Not charged to `run`: the
+  // budget counts rank rows and pairs only.
   std::vector<double> row_mins;
-  if (packed) {
-    // One min pass per row instead of two per pair: minima are unary, so
-    // this turns O(r²·N) min work into O(r·N). Unbudgeted, like the
-    // scalar engine's per-pair MinIndex calls.
-    row_mins.reserve(matrix.rows());
-    const CompareKernels& kernels = ActiveCompareKernels();
-    for (size_t r = 0; r < matrix.rows(); ++r) {
-      const double* d = matrix.row(r);
-      row_mins.push_back(kernels.row_min(d, matrix.cols(), d[0]));
-    }
-  } else {
-    scalar_rows = matrix.ToSet();
+  row_mins.reserve(matrix.rows());
+  const CompareKernels& kernels = ActiveCompareKernels();
+  for (size_t r = 0; r < matrix.rows(); ++r) {
+    const double* d = matrix.row(r);
+    row_mins.push_back(kernels.row_min(d, matrix.cols(), d[0]));
   }
 
   AllPairsResult result;
@@ -385,11 +271,8 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
     result.ranks.reserve(matrix.rows());
     for (size_t r = 0; r < matrix.rows(); ++r) {
       MDC_RETURN_IF_ERROR(RunContext::Check(run));
-      double rank = packed ? PackedRankIndex(matrix.row(r), ideal,
-                                             matrix.cols(), options.rank_p)
-                           : RankIndex(scalar_rows[r], options.d_max,
-                                       options.rank_p);
-      result.ranks.push_back(rank);
+      result.ranks.push_back(
+          PackedRankIndex(matrix.row(r), ideal, matrix.cols()));
       MDC_METRIC_INC("cmp.rank_rows");
     }
   }
@@ -404,7 +287,7 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
   result.pairs.reserve(index_of_pair.size());
 
   ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
-  // Waves are sized for the grouped packed path: enough pairs that runs
+  // Waves are sized for grouped evaluation: enough pairs that runs
   // sharing a first row amortize its block loads, capped groups so one
   // long run cannot serialize a multi-threaded wave. Wave/group sizing
   // affects scheduling only — per-pair results are pure and the commit
@@ -430,32 +313,25 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
     const size_t count = next - begin;
     if (count == 0) break;
     slots.assign(count, PairComparison{});
-    if (packed) {
-      // Runs of pairs sharing a first row evaluate one-vs-many.
-      groups.clear();
-      size_t s = 0;
-      while (s < count) {
-        size_t e = s + 1;
-        while (e < count && e - s < group_cap &&
-               index_of_pair[begin + e].first ==
-                   index_of_pair[begin + s].first) {
-          ++e;
-        }
-        groups.emplace_back(s, e - s);
-        s = e;
+    // Runs of pairs sharing a first row evaluate one-vs-many.
+    groups.clear();
+    size_t lo = 0;
+    while (lo < count) {
+      size_t hi = lo + 1;
+      while (hi < count && hi - lo < group_cap &&
+             index_of_pair[begin + hi].first ==
+                 index_of_pair[begin + lo].first) {
+        ++hi;
       }
-      pool.ParallelFor(groups.size(), [&](size_t g) {
-        const auto [offset, size] = groups[g];
-        EvaluateRowGroupPacked(matrix, index_of_pair[begin + offset].first,
-                               index_of_pair.data() + begin + offset, size,
-                               options, row_mins, slots.data() + offset);
-      });
-    } else {
-      pool.ParallelFor(count, [&](size_t s) {
-        const auto [i, j] = index_of_pair[begin + s];
-        slots[s] = ComparePairScalar(scalar_rows, i, j, options);
-      });
+      groups.emplace_back(lo, hi - lo);
+      lo = hi;
     }
+    pool.ParallelFor(groups.size(), [&](size_t g) {
+      const auto [offset, size] = groups[g];
+      EvaluateRowGroup(matrix, index_of_pair[begin + offset].first,
+                       index_of_pair.data() + begin + offset, size, options,
+                       row_mins, slots.data() + offset);
+    });
     // In-order commit: results append and counters increment in admission
     // order regardless of evaluation schedule.
     for (size_t s = 0; s < count; ++s) {
@@ -472,96 +348,26 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
   return result;
 }
 
-StatusOr<double> PackedWtdIndex(
-    const PropertyMatrix& s1, const PropertyMatrix& s2,
-    const std::vector<double>& weights,
-    const std::vector<PackedBinaryIndexKind>& kinds) {
-  MDC_RETURN_IF_ERROR(ValidateAlignment(s1, s2));
-  MDC_RETURN_IF_ERROR(ValidateKinds(s1, kinds));
-  if (weights.size() != s1.rows()) {
-    return Status::InvalidArgument("weight vector arity mismatch");
-  }
-  double sum = 0.0;
-  for (double w : weights) {
-    if (w <= 0.0 || w >= 1.0) {
-      // A single property with weight 1 is allowed as the degenerate case.
-      if (!(weights.size() == 1 && w == 1.0)) {
-        return Status::InvalidArgument(
-            "weights must lie strictly between 0 and 1");
-      }
+bool PackedSetWeaklyDominates(const PropertySet& s1, const PropertySet& s2) {
+  MDC_CHECK_EQ(s1.size(), s2.size());
+  for (size_t p = 0; p < s1.size(); ++p) {
+    MDC_CHECK_EQ(s1[p].size(), s2[p].size());
+    if (!PackedWeaklyDominates(s1[p].values().data(), s2[p].values().data(),
+                               s1[p].size())) {
+      return false;
     }
-    sum += w;
-  }
-  if (std::abs(sum - 1.0) > 1e-9) {
-    return Status::InvalidArgument("weights must sum to 1");
-  }
-  for (size_t i = 0; i < s1.rows(); ++i) {
-    if (KindAt(kinds, i) == PackedBinaryIndexKind::kHypervolume) {
-      MDC_RETURN_IF_ERROR(RequirePositive(s1));
-      MDC_RETURN_IF_ERROR(RequirePositive(s2));
-      break;
-    }
-  }
-  double value = 0.0;
-  for (size_t i = 0; i < s1.rows(); ++i) {
-    value += weights[i] * PackedBinaryValue(KindAt(kinds, i), s1.row(i),
-                                            s2.row(i), s1.cols(),
-                                            /*forward=*/true);
-  }
-  return value;
-}
-
-StatusOr<size_t> PackedLexIndex(
-    const PropertyMatrix& s1, const PropertyMatrix& s2,
-    const std::vector<double>& epsilons,
-    const std::vector<PackedBinaryIndexKind>& kinds) {
-  MDC_RETURN_IF_ERROR(ValidateAlignment(s1, s2));
-  MDC_RETURN_IF_ERROR(ValidateKinds(s1, kinds));
-  if (epsilons.size() != 1 && epsilons.size() != s1.rows()) {
-    return Status::InvalidArgument(
-        "epsilon vector must have one entry or one per property");
-  }
-  for (double e : epsilons) {
-    if (e < 0.0) {
-      return Status::InvalidArgument("epsilons must be non-negative");
-    }
-  }
-  for (size_t i = 0; i < s1.rows(); ++i) {
-    if (KindAt(kinds, i) == PackedBinaryIndexKind::kHypervolume) {
-      MDC_RETURN_IF_ERROR(RequirePositive(s1));
-      MDC_RETURN_IF_ERROR(RequirePositive(s2));
-      break;
-    }
-  }
-  for (size_t i = 0; i < s1.rows(); ++i) {
-    const PackedBinaryIndexKind kind = KindAt(kinds, i);
-    double forward =
-        PackedBinaryValue(kind, s1.row(i), s2.row(i), s1.cols(), true);
-    double backward =
-        PackedBinaryValue(kind, s1.row(i), s2.row(i), s1.cols(), false);
-    double epsilon = epsilons.size() == 1 ? epsilons[0] : epsilons[i];
-    if (forward - backward > epsilon) return i + 1;
-  }
-  return s1.rows() + 1;
-}
-
-bool PackedSetWeaklyDominates(const PropertyMatrix& s1,
-                              const PropertyMatrix& s2) {
-  MDC_CHECK_EQ(s1.rows(), s2.rows());
-  MDC_CHECK_EQ(s1.cols(), s2.cols());
-  for (size_t i = 0; i < s1.rows(); ++i) {
-    if (!PackedWeaklyDominates(s1.row(i), s2.row(i), s1.cols())) return false;
   }
   return true;
 }
 
-bool PackedSetStronglyDominates(const PropertyMatrix& s1,
-                                const PropertyMatrix& s2) {
-  MDC_CHECK_EQ(s1.rows(), s2.rows());
-  MDC_CHECK_EQ(s1.cols(), s2.cols());
+bool PackedSetStronglyDominates(const PropertySet& s1,
+                                const PropertySet& s2) {
   if (!PackedSetWeaklyDominates(s1, s2)) return false;
-  for (size_t i = 0; i < s1.rows(); ++i) {
-    if (PackedStronglyDominates(s1.row(i), s2.row(i), s1.cols())) return true;
+  for (size_t p = 0; p < s1.size(); ++p) {
+    if (PackedStronglyDominates(s1[p].values().data(), s2[p].values().data(),
+                                s1[p].size())) {
+      return true;
+    }
   }
   return false;
 }

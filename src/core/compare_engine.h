@@ -1,13 +1,15 @@
 // High-throughput pairwise comparison engine over packed property
-// matrices.
+// matrices — the one comparison path of production code (reports, Pareto
+// fronts, permutation-model rankings).
 //
 // The scalar layer (core/{dominance,quality_index,comparator}.*) computes
 // each Table-4 relation and each §5 index with its own pass over
 // PropertyVector::operator[], so comparing r properties costs O(r²·N) of
-// bounds-checked, virtually-dispatched element work. The packed engine
-// streams the two rows once per pair in cache-sized blocks and derives
-// every dominance relation and every index from a single fused pass
-// (ComputePairwiseStats).
+// bounds-checked, virtually-dispatched element work. It stays as the
+// paper-facing API and as the oracle the tests compare against. The
+// packed engine streams the two rows once per pair in cache-sized blocks
+// and derives every dominance relation and every index from a single
+// fused pass (ComputePairwiseStats).
 //
 // Bit-exactness contract: packed results are required to equal the scalar
 // results EXACTLY (double ==), not approximately. Integer quantities
@@ -30,7 +32,6 @@
 #define MDC_CORE_COMPARE_ENGINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/run_context.h"
@@ -41,21 +42,13 @@
 
 namespace mdc {
 
-// Which implementation services a comparison request. kScalar routes
-// through the legacy per-element code (the differential oracle); kPacked
-// uses the blocked kernels. Both produce identical results.
-enum class CompareEngine { kScalar, kPacked };
-
-const char* CompareEngineName(CompareEngine engine);
-StatusOr<CompareEngine> ParseCompareEngine(const std::string& name);
-
 // Default kernel block: 1024 doubles per row = 2 × 8 KiB resident per
 // pair, comfortably inside a 32–48 KiB L1 while long enough to amortize
 // loop overhead. Tests override it to exercise N % block != 0 remainders.
 inline constexpr size_t kCompareBlockSize = 1024;
 
 // ---------------------------------------------------------------------------
-// Raw kernels (packed path). Semantics match core/dominance.h and
+// Raw kernels over contiguous rows. Semantics match core/dominance.h and
 // core/quality_index.h exactly; see the bit-exactness contract above.
 
 bool PackedWeaklyDominates(const double* d1, const double* d2, size_t n);
@@ -79,23 +72,15 @@ struct PairwiseStats {
   double spr21 = 0.0;
   double min1 = 0.0;  // min over d1 / d2 (first-occurrence semantics).
   double min2 = 0.0;
-  bool with_hv = false;  // hv fields valid only when requested.
-  double hv12 = 0.0;     // P_hv(d1, d2) = Π d1 − Π min(d1, d2)
-  double hv21 = 0.0;
 };
 
-// `with_hv` requires strictly positive entries in both rows (scalar
-// semantics; callers validate — the kernel MDC_CHECKs). Both rows must be
-// finite (the PropertyMatrix contract): the weak counts are derived from
-// the strict ones by totality (d1 >= d2 ⟺ ¬(d2 > d1)), which halves the
-// count work per element. `with_min = false` skips the running-min pass
-// for callers that precompute per-row minima (minima depend on one row
-// only, so the all-pairs driver hoists them out of the O(r²) pair loop);
-// min1/min2 are then left at d1[0]/d2[0].
+// Both rows must be finite (the PropertyMatrix contract): the weak counts
+// are derived from the strict ones by totality (d1 >= d2 ⟺ ¬(d2 > d1)),
+// which halves the count work per element. P_hv is scored by
+// AllPairsCompare only.
 PairwiseStats ComputePairwiseStats(const double* d1, const double* d2,
-                                   size_t n, bool with_hv,
-                                   size_t block = kCompareBlockSize,
-                                   bool with_min = true);
+                                   size_t n,
+                                   size_t block = kCompareBlockSize);
 
 // Derivations from the fused stats. Each mirrors its scalar counterpart.
 DominanceRelation RelationFromStats(const PairwiseStats& stats);
@@ -116,15 +101,14 @@ void CommitComparisonMetrics(DominanceRelation relation, size_t cols);
 // All-pairs driver.
 
 struct AllPairsOptions {
-  CompareEngine engine = CompareEngine::kPacked;
   // Total comparison threads (workers + caller); <= 0 means hardware.
   int threads = 1;
   // Compute P_hv. Requires strictly positive matrix entries (clean
-  // InvalidArgument otherwise — on either engine).
+  // InvalidArgument otherwise).
   bool include_hypervolume = false;
-  // Rank ideal; empty skips P_rank. Must match the matrix width.
+  // Rank ideal for P_rank (p = 2); empty skips it. Must match the matrix
+  // width.
   PropertyVector d_max;
-  double rank_p = 2.0;
   // Kernel block size; kept configurable so tests can force remainder
   // blocks. Must be > 0.
   size_t block = kCompareBlockSize;
@@ -168,35 +152,13 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
                                          RunContext* run = nullptr);
 
 // ---------------------------------------------------------------------------
-// Multi-property scoring (§5.5–5.6) on packed matrices. The generic
-// BinaryIndex takes arbitrary std::functions, so the packed engine
-// supports the named index kinds and reproduces WtdIndex/LexIndex
-// arithmetic (and validation) exactly.
+// Set-level dominance (Table 4 over aligned property sets) through the
+// packed kernels, on each vector's own storage (no repacking) — used by
+// the Pareto-front extraction. The sets must agree in arity and in the
+// size of every aligned vector (MDC_CHECK).
 
-enum class PackedBinaryIndexKind { kCoverage, kSpread, kHypervolume };
-
-// P_WTD over aligned matrices (row i of s1 vs row i of s2). `kinds` has
-// one entry or one per row, like BinaryIndexList.
-StatusOr<double> PackedWtdIndex(const PropertyMatrix& s1,
-                                const PropertyMatrix& s2,
-                                const std::vector<double>& weights,
-                                const std::vector<PackedBinaryIndexKind>& kinds);
-
-// P_lex: 1-based position of the first decisive property, r+1 if none.
-StatusOr<size_t> PackedLexIndex(const PropertyMatrix& s1,
-                                const PropertyMatrix& s2,
-                                const std::vector<double>& epsilons,
-                                const std::vector<PackedBinaryIndexKind>& kinds);
-
-// ---------------------------------------------------------------------------
-// Set-level dominance (Table 4 over aligned candidate sets) on packed
-// matrices — used by the Pareto-front extraction. Matrices must agree in
-// rows() and cols().
-
-bool PackedSetWeaklyDominates(const PropertyMatrix& s1,
-                              const PropertyMatrix& s2);
-bool PackedSetStronglyDominates(const PropertyMatrix& s1,
-                                const PropertyMatrix& s2);
+bool PackedSetWeaklyDominates(const PropertySet& s1, const PropertySet& s2);
+bool PackedSetStronglyDominates(const PropertySet& s1, const PropertySet& s2);
 
 }  // namespace mdc
 

@@ -4,6 +4,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/text_table.h"
+#include "core/compare_engine.h"
 #include "core/properties.h"
 #include "privacy/privacy_model.h"
 #include "utility/loss_metric.h"
@@ -19,7 +20,7 @@ struct NamedProperty {
 
 const PropertyVector kNoIdeal;
 
-// The packed-engine equivalent of sweeping StandardComparators(ideal,
+// Sweeps the equivalent of StandardComparators(ideal,
 // /*include_hypervolume=*/false) over one property: same comparator
 // names, same order, same outcomes, from one fused kernel pass.
 std::vector<ComparatorVerdict> PackedBattery(const NamedProperty& property,
@@ -27,7 +28,7 @@ std::vector<ComparatorVerdict> PackedBattery(const NamedProperty& property,
   const size_t n = property.first.size();
   const double* d1 = property.first.values().data();
   const double* d2 = property.second.values().data();
-  PairwiseStats stats = ComputePairwiseStats(d1, d2, n, /*with_hv=*/false);
+  PairwiseStats stats = ComputePairwiseStats(d1, d2, n);
 
   std::vector<ComparatorVerdict> verdicts;
   auto add = [&](const char* comparator, ComparatorOutcome outcome) {
@@ -113,15 +114,12 @@ StatusOr<ComparisonReport> CompareAnonymizations(
     return sensitive_column.status();
   }
 
-  if (options.include_utility) {
-    MDC_ASSIGN_OR_RETURN(PropertyVector first_utility,
-                         UtilityVector(first, first_partition));
-    MDC_ASSIGN_OR_RETURN(PropertyVector second_utility,
-                         UtilityVector(second, second_partition));
-    properties.push_back(
-        {"per-tuple-utility", std::move(first_utility),
-         std::move(second_utility)});
-  }
+  MDC_ASSIGN_OR_RETURN(PropertyVector first_utility,
+                       UtilityVector(first, first_partition));
+  MDC_ASSIGN_OR_RETURN(PropertyVector second_utility,
+                       UtilityVector(second, second_partition));
+  properties.push_back({"per-tuple-utility", std::move(first_utility),
+                        std::move(second_utility)});
 
   ComparisonReport report;
   report.first_name =
@@ -135,79 +133,55 @@ StatusOr<ComparisonReport> CompareAnonymizations(
   report.first_bias = ComputeBias(first_sizes);
   report.second_bias = ComputeBias(second_sizes);
 
-  PropertyVector d_max;
-  if (options.include_rank) {
-    d_max = PropertyVector(
-        "ideal", std::vector<double>(first.row_count(),
-                                     static_cast<double>(first.row_count())));
-  }
+  // Rank ideal: the class-size vector of the fully-linked table (all N).
+  const PropertyVector d_max(
+      "ideal", std::vector<double>(first.row_count(),
+                                   static_cast<double>(first.row_count())));
 
-  if (options.engine == CompareEngine::kPacked) {
-    // Wave protocol across properties: admit (budget charges in property
-    // order), evaluate batteries in parallel into per-property slots,
-    // commit verdicts, counters, and the net score serially in order.
-    for (size_t i = 0; i < properties.size(); ++i) {
-      MDC_RETURN_IF_ERROR(RunContext::Check(run));
-    }
-    MDC_METRIC_INC("cmp.runs");
-    std::vector<std::vector<ComparatorVerdict>> slots(properties.size());
-    ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
-    pool.ParallelFor(properties.size(), [&](size_t i) {
-      // The rank ideal only makes sense for the class-size property.
-      const PropertyVector& ideal =
-          properties[i].name == "equivalence-class-size" ? d_max
-                                                         : kNoIdeal;
-      slots[i] = PackedBattery(properties[i], ideal);
-    });
-    for (size_t i = 0; i < properties.size(); ++i) {
-      report.properties.push_back(properties[i].name);
-      DominanceRelation relation = DominanceRelation::kIncomparable;
-      for (const ComparatorVerdict& verdict : slots[i]) {
-        if (verdict.comparator == "dominance") {
-          switch (verdict.outcome) {
-            case ComparatorOutcome::kEquivalent:
-              relation = DominanceRelation::kEqual;
-              break;
-            case ComparatorOutcome::kFirstBetter:
-              relation = DominanceRelation::kFirstDominates;
-              break;
-            case ComparatorOutcome::kSecondBetter:
-              relation = DominanceRelation::kSecondDominates;
-              break;
-            default:
-              relation = DominanceRelation::kIncomparable;
-              break;
-          }
-        }
-        if (verdict.outcome == ComparatorOutcome::kFirstBetter) {
-          ++report.net_score;
-        }
-        if (verdict.outcome == ComparatorOutcome::kSecondBetter) {
-          --report.net_score;
-        }
-        report.verdicts.push_back(verdict);
-      }
-      CommitComparisonMetrics(relation, properties[i].first.size());
-    }
-    return report;
-  }
-
-  for (const NamedProperty& property : properties) {
+  // Wave protocol across properties: admit (budget charges in property
+  // order), evaluate batteries in parallel into per-property slots, commit
+  // verdicts, counters, and the net score serially in order.
+  for (size_t i = 0; i < properties.size(); ++i) {
     MDC_RETURN_IF_ERROR(RunContext::Check(run));
-    report.properties.push_back(property.name);
+  }
+  MDC_METRIC_INC("cmp.runs");
+  std::vector<std::vector<ComparatorVerdict>> slots(properties.size());
+  ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
+  pool.ParallelFor(properties.size(), [&](size_t i) {
     // The rank ideal only makes sense for the class-size property.
-    PropertyVector ideal =
-        property.name == "equivalence-class-size" ? d_max : PropertyVector();
-    std::vector<std::unique_ptr<Comparator>> battery =
-        StandardComparators(std::move(ideal), /*include_hypervolume=*/false);
-    for (const auto& comparator : battery) {
-      ComparatorOutcome outcome =
-          comparator->Compare(property.first, property.second);
-      if (outcome == ComparatorOutcome::kFirstBetter) ++report.net_score;
-      if (outcome == ComparatorOutcome::kSecondBetter) --report.net_score;
-      report.verdicts.push_back(
-          {property.name, comparator->Name(), outcome});
+    const PropertyVector& ideal =
+        properties[i].name == "equivalence-class-size" ? d_max : kNoIdeal;
+    slots[i] = PackedBattery(properties[i], ideal);
+  });
+  for (size_t i = 0; i < properties.size(); ++i) {
+    report.properties.push_back(properties[i].name);
+    DominanceRelation relation = DominanceRelation::kIncomparable;
+    for (const ComparatorVerdict& verdict : slots[i]) {
+      if (verdict.comparator == "dominance") {
+        switch (verdict.outcome) {
+          case ComparatorOutcome::kEquivalent:
+            relation = DominanceRelation::kEqual;
+            break;
+          case ComparatorOutcome::kFirstBetter:
+            relation = DominanceRelation::kFirstDominates;
+            break;
+          case ComparatorOutcome::kSecondBetter:
+            relation = DominanceRelation::kSecondDominates;
+            break;
+          default:
+            relation = DominanceRelation::kIncomparable;
+            break;
+        }
+      }
+      if (verdict.outcome == ComparatorOutcome::kFirstBetter) {
+        ++report.net_score;
+      }
+      if (verdict.outcome == ComparatorOutcome::kSecondBetter) {
+        --report.net_score;
+      }
+      report.verdicts.push_back(verdict);
     }
+    CommitComparisonMetrics(relation, properties[i].first.size());
   }
   return report;
 }

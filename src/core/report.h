@@ -1,10 +1,13 @@
 // One-call comparison of two anonymizations under the paper's framework.
 //
-// CompareAnonymizations extracts the privacy (and optionally utility)
-// property vectors of both releases, runs a comparator battery over each
-// property, and returns a structured, renderable report: the verdict of
-// every comparator, the dominance relation, and the per-release bias
-// statistics. This is the "downstream user" API of the library.
+// CompareAnonymizations extracts the privacy and utility property vectors
+// of both releases, runs the comparator battery over each property
+// through the packed comparison engine, and returns a structured,
+// renderable report: the verdict of every comparator, the dominance
+// relation, and the per-release bias statistics. This is the "downstream
+// user" API of the library. The verdicts are those of
+// StandardComparators (core/comparator.h), which comparator_test checks
+// verdict for verdict.
 
 #ifndef MDC_CORE_REPORT_H_
 #define MDC_CORE_REPORT_H_
@@ -18,25 +21,20 @@
 #include "common/run_context.h"
 #include "core/bias.h"
 #include "core/comparator.h"
-#include "core/compare_engine.h"
 
 namespace mdc {
 
+// The report scores equivalence-class size, sensitive rarity (when a
+// sensitive column resolves) and per-tuple utility (the Iyengar loss
+// metric for full-domain releases, the class-spread loss otherwise). The
+// class-size property is also ranked against the ideal of the
+// fully-linked table (every entry N).
 struct ComparisonOptions {
   // Sensitive column for the diversity property; when unset the property
   // is skipped unless the schema has exactly one kSensitive attribute.
   std::optional<size_t> sensitive_column;
-  // Include a per-tuple utility property. Uses the Iyengar loss metric
-  // for full-domain releases and the class-spread loss otherwise.
-  bool include_utility = true;
-  // Rank comparator ideal: the class-size vector of the fully-linked
-  // table (all N), built automatically.
-  bool include_rank = true;
-  // Which comparison engine scores the battery. Both engines produce
-  // identical verdicts (comparison_oracle_test proves it); kPacked runs
-  // the blocked single-pass kernels and can fan out across properties.
-  CompareEngine engine = CompareEngine::kPacked;
-  // Comparison threads for the packed engine; <= 0 means hardware.
+  // Comparison threads, fanned out across properties; <= 0 means
+  // hardware.
   int threads = 1;
 };
 

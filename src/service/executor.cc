@@ -17,6 +17,7 @@
 #include "common/csv.h"
 #include "common/strings.h"
 #include "common/text_table.h"
+#include "core/compare_engine.h"
 #include "core/permutation_metrics.h"
 #include "core/property_matrix.h"
 #include "core/report.h"

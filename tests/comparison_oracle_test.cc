@@ -1,11 +1,12 @@
 // Differential oracle for the packed comparison engine: every dominance
 // relation and every §5 index computed by the blocked kernels must equal
-// the scalar element-at-a-time code EXACTLY (double ==, no tolerance),
-// over randomized property sets covering ties, zeros, negatives,
-// denormal-adjacent magnitudes, and lengths that are not multiples of the
-// kernel block. Also proves the engine's determinism contract: results
-// and cmp.* counters byte-identical across thread counts, including under
-// step-budget truncation, plus cancellation and cmp.read fault paths.
+// the scalar element-at-a-time code of core/{dominance,quality_index}
+// EXACTLY (double ==, no tolerance), over randomized property sets
+// covering ties, zeros, negatives, denormal-adjacent magnitudes, and
+// lengths that are not multiples of the kernel block. Also proves the
+// engine's determinism contract: results and cmp.* counters
+// byte-identical across thread counts, including under step-budget
+// truncation, plus cancellation and cmp.read fault paths.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "core/compare_engine.h"
 #include "core/permutation_metrics.h"
 #include "core/dominance.h"
-#include "core/multi_property.h"
 #include "core/property_matrix.h"
 #include "core/quality_index.h"
 
@@ -124,6 +124,49 @@ void ExpectIdenticalResults(const AllPairsResult& a, const AllPairsResult& b,
   }
 }
 
+// The oracle: AllPairsCompare's result rebuilt from the scalar §5
+// functions, one pair and one row at a time.
+AllPairsResult ScalarAllPairs(const PropertyMatrix& matrix,
+                              const AllPairsOptions& options) {
+  const PropertySet rows = matrix.ToSet();
+  AllPairsResult result;
+  result.rows = matrix.rows();
+  result.cols = matrix.cols();
+  if (!options.d_max.empty()) {
+    for (const PropertyVector& row : rows) {
+      result.ranks.push_back(RankIndex(row, options.d_max));
+    }
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = i + 1; j < rows.size(); ++j) {
+      const PropertyVector& d1 = rows[i];
+      const PropertyVector& d2 = rows[j];
+      PairComparison pair;
+      pair.first = i;
+      pair.second = j;
+      pair.relation = CompareDominance(d1, d2);
+      pair.cov12 = CoverageIndex(d1, d2);
+      pair.cov21 = CoverageIndex(d2, d1);
+      pair.binary12 = StrictlyBetterCount(d1, d2);
+      pair.binary21 = StrictlyBetterCount(d2, d1);
+      pair.spr12 = SpreadIndex(d1, d2);
+      pair.spr21 = SpreadIndex(d2, d1);
+      pair.min1 = MinIndex(d1);
+      pair.min2 = MinIndex(d2);
+      if (options.include_hypervolume) {
+        pair.hv12 = HypervolumeIndex(d1, d2);
+        pair.hv21 = HypervolumeIndex(d2, d1);
+      }
+      if (!options.d_max.empty()) {
+        pair.rank1 = result.ranks[i];
+        pair.rank2 = result.ranks[j];
+      }
+      result.pairs.push_back(pair);
+    }
+  }
+  return result;
+}
+
 // The tentpole proof: packed == scalar over >= 1000 randomized (r, N)
 // configurations. Lengths sweep across and around the block size
 // (remainder blocks), block overrides force tiny and misaligned blocks,
@@ -140,7 +183,6 @@ TEST(ComparisonOracle, PackedMatchesScalarOnRandomizedConfigs) {
         const size_t rows = 2 + rng.NextBelow(4);  // r in [2, 5].
         PropertyMatrix matrix = RandomMatrix(rng, rows, cols, mode);
         AllPairsOptions packed;
-        packed.engine = CompareEngine::kPacked;
         const size_t block = kBlocks[rng.NextBelow(5)];
         if (block != 0) packed.block = block;
         if (rng.NextBool(0.5)) {
@@ -148,14 +190,10 @@ TEST(ComparisonOracle, PackedMatchesScalarOnRandomizedConfigs) {
           for (double& v : ideal) v = RandomValue(rng, mode);
           packed.d_max = PropertyVector("ideal", std::move(ideal));
         }
-        AllPairsOptions scalar = packed;
-        scalar.engine = CompareEngine::kScalar;
         auto packed_result = AllPairsCompare(matrix, packed);
-        auto scalar_result = AllPairsCompare(matrix, scalar);
         ASSERT_TRUE(packed_result.ok());
-        ASSERT_TRUE(scalar_result.ok());
         ExpectIdenticalResults(
-            *packed_result, *scalar_result,
+            *packed_result, ScalarAllPairs(matrix, packed),
             "seed=" + std::to_string(seed) + " mode=" +
                 std::to_string(static_cast<int>(mode)) + " cols=" +
                 std::to_string(cols) + " block=" + std::to_string(block));
@@ -179,13 +217,9 @@ TEST(ComparisonOracle, PackedMatchesScalarWithHypervolume) {
     AllPairsOptions packed;
     packed.include_hypervolume = true;
     packed.block = 1 + rng.NextBelow(64);
-    AllPairsOptions scalar = packed;
-    scalar.engine = CompareEngine::kScalar;
     auto packed_result = AllPairsCompare(matrix, packed);
-    auto scalar_result = AllPairsCompare(matrix, scalar);
     ASSERT_TRUE(packed_result.ok());
-    ASSERT_TRUE(scalar_result.ok());
-    ExpectIdenticalResults(*packed_result, *scalar_result,
+    ExpectIdenticalResults(*packed_result, ScalarAllPairs(matrix, packed),
                            "hv seed=" + std::to_string(seed));
   }
 }
@@ -229,62 +263,14 @@ TEST(ComparisonOracle, SetLevelKernelsMatchScalar) {
       PropertyMatrix m2 = RandomMatrix(rng, rows, cols, ValueMode::kTieHeavy);
       PropertySet s1 = m1.ToSet();
       PropertySet s2 = m2.ToSet();
-      EXPECT_EQ(PackedSetWeaklyDominates(m1, m2), WeaklyDominates(s1, s2));
-      EXPECT_EQ(PackedSetWeaklyDominates(m2, m1), WeaklyDominates(s2, s1));
-      EXPECT_EQ(PackedSetStronglyDominates(m1, m2),
+      EXPECT_EQ(PackedSetWeaklyDominates(s1, s2), WeaklyDominates(s1, s2));
+      EXPECT_EQ(PackedSetWeaklyDominates(s2, s1), WeaklyDominates(s2, s1));
+      EXPECT_EQ(PackedSetStronglyDominates(s1, s2),
                 StronglyDominates(s1, s2));
-      EXPECT_EQ(PackedSetStronglyDominates(m2, m1),
+      EXPECT_EQ(PackedSetStronglyDominates(s2, s1),
                 StronglyDominates(s2, s1));
     }
   }
-}
-
-// P_WTD and P_lex: the packed named-kind implementations against
-// multi_property.cc with the equivalent BinaryIndex list, including exact
-// value equality and identical validation failures.
-TEST(ComparisonOracle, MultiPropertyPackedMatchesScalar) {
-  BinaryIndexList scalar_indices = {MakeCoverageIndex(), MakeSpreadIndex(),
-                                    MakeCoverageIndex()};
-  std::vector<PackedBinaryIndexKind> kinds = {
-      PackedBinaryIndexKind::kCoverage, PackedBinaryIndexKind::kSpread,
-      PackedBinaryIndexKind::kCoverage};
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed * 17);
-    const size_t cols = 1 + rng.NextBelow(500);
-    PropertyMatrix m1 = RandomMatrix(rng, 3, cols, ValueMode::kTieHeavy);
-    PropertyMatrix m2 = RandomMatrix(rng, 3, cols, ValueMode::kTieHeavy);
-    PropertySet s1 = m1.ToSet();
-    PropertySet s2 = m2.ToSet();
-    const std::vector<double> weights = {0.2, 0.5, 0.3};
-    auto packed_wtd = PackedWtdIndex(m1, m2, weights, kinds);
-    auto scalar_wtd = WtdIndex(s1, s2, weights, scalar_indices);
-    ASSERT_TRUE(packed_wtd.ok());
-    ASSERT_TRUE(scalar_wtd.ok());
-    EXPECT_EQ(*packed_wtd, *scalar_wtd) << "seed=" << seed;
-
-    const std::vector<double> epsilons = {0.0, 0.25, 0.1};
-    auto packed_lex = PackedLexIndex(m1, m2, epsilons, kinds);
-    auto scalar_lex = LexIndex(s1, s2, epsilons, scalar_indices);
-    ASSERT_TRUE(packed_lex.ok());
-    ASSERT_TRUE(scalar_lex.ok());
-    EXPECT_EQ(*packed_lex, *scalar_lex) << "seed=" << seed;
-  }
-
-  // Validation parity: the packed layer rejects exactly what the scalar
-  // layer rejects.
-  Rng rng(99);
-  PropertyMatrix m1 = RandomMatrix(rng, 3, 8, ValueMode::kTieHeavy);
-  PropertyMatrix m2 = RandomMatrix(rng, 3, 8, ValueMode::kTieHeavy);
-  auto bad_weights = PackedWtdIndex(m1, m2, {0.9, 0.9, 0.9}, kinds);
-  auto scalar_bad =
-      WtdIndex(m1.ToSet(), m2.ToSet(), {0.9, 0.9, 0.9}, scalar_indices);
-  EXPECT_FALSE(bad_weights.ok());
-  EXPECT_FALSE(scalar_bad.ok());
-  EXPECT_EQ(bad_weights.status().code(), scalar_bad.status().code());
-  auto bad_arity = PackedWtdIndex(m1, m2, {0.5, 0.5}, kinds);
-  EXPECT_EQ(bad_arity.status().code(), StatusCode::kInvalidArgument);
-  auto bad_eps = PackedLexIndex(m1, m2, {-1.0}, kinds);
-  EXPECT_EQ(bad_eps.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Rank kernel vs PropertyVector::DistanceTo for assorted p-norms.
@@ -318,35 +304,29 @@ std::string ResultFingerprint(const AllPairsResult& result) {
 }
 
 // Determinism: identical results and identical cmp.* counter text for
-// every thread count, on both engines.
+// every thread count.
 TEST(ComparisonOracle, ThreadCountInvariance) {
   Rng rng(271828);
   PropertyMatrix matrix = RandomMatrix(rng, 6, 2048, ValueMode::kTieHeavy);
-  for (CompareEngine engine :
-       {CompareEngine::kPacked, CompareEngine::kScalar}) {
-    std::string reference_fingerprint;
-    std::string reference_counters;
-    for (int threads : {1, 2, 4, 0}) {
-      AllPairsOptions options;
-      options.engine = engine;
-      options.threads = threads;
-      options.d_max =
-          PropertyVector("ideal", std::vector<double>(matrix.cols(), 10.0));
-      metrics::ResetForTest();
-      auto result = AllPairsCompare(matrix, options);
-      ASSERT_TRUE(result.ok());
-      std::string fingerprint = ResultFingerprint(*result);
-      std::string counters = metrics::Snapshot().DeterministicCountersText();
-      EXPECT_NE(counters.find("cmp.pairs_compared"), std::string::npos);
-      if (threads == 1) {
-        reference_fingerprint = fingerprint;
-        reference_counters = counters;
-      } else {
-        EXPECT_EQ(fingerprint, reference_fingerprint)
-            << CompareEngineName(engine) << " threads=" << threads;
-        EXPECT_EQ(counters, reference_counters)
-            << CompareEngineName(engine) << " threads=" << threads;
-      }
+  std::string reference_fingerprint;
+  std::string reference_counters;
+  for (int threads : {1, 2, 4, 0}) {
+    AllPairsOptions options;
+    options.threads = threads;
+    options.d_max =
+        PropertyVector("ideal", std::vector<double>(matrix.cols(), 10.0));
+    metrics::ResetForTest();
+    auto result = AllPairsCompare(matrix, options);
+    ASSERT_TRUE(result.ok());
+    std::string fingerprint = ResultFingerprint(*result);
+    std::string counters = metrics::Snapshot().DeterministicCountersText();
+    EXPECT_NE(counters.find("cmp.pairs_compared"), std::string::npos);
+    if (threads == 1) {
+      reference_fingerprint = fingerprint;
+      reference_counters = counters;
+    } else {
+      EXPECT_EQ(fingerprint, reference_fingerprint) << "threads=" << threads;
+      EXPECT_EQ(counters, reference_counters) << "threads=" << threads;
     }
   }
 }
@@ -414,17 +394,14 @@ TEST(ComparisonOracle, InvalidInputsAreRejected) {
   bad_ideal.d_max = PropertyVector("ideal", {1.0, 2.0});
   EXPECT_EQ(AllPairsCompare(matrix, bad_ideal).status().code(),
             StatusCode::kInvalidArgument);
-  // Hypervolume over non-positive entries: clean error on both engines
-  // (the scalar comparator would abort; the driver validates first).
+  // Hypervolume over non-positive entries: a clean error (the kernels
+  // and the scalar comparator would abort; AllPairsCompare validates
+  // first).
   PropertyMatrix signed_matrix = RandomMatrix(rng, 3, 16, ValueMode::kSigned);
-  for (CompareEngine engine :
-       {CompareEngine::kPacked, CompareEngine::kScalar}) {
-    AllPairsOptions hv;
-    hv.engine = engine;
-    hv.include_hypervolume = true;
-    EXPECT_EQ(AllPairsCompare(signed_matrix, hv).status().code(),
-              StatusCode::kInvalidArgument);
-  }
+  AllPairsOptions hv;
+  hv.include_hypervolume = true;
+  EXPECT_EQ(AllPairsCompare(signed_matrix, hv).status().code(),
+            StatusCode::kInvalidArgument);
   // Non-finite and misaligned inputs never reach the kernels.
   EXPECT_EQ(PropertyMatrix::FromSet({}).status().code(),
             StatusCode::kInvalidArgument);
@@ -472,8 +449,9 @@ TEST(ComparisonOracle, FromCsvRoundTripAndFaultPaths) {
 // Permutation-derived vectors through the oracle: the Def.-1 privacy and
 // utility vectors the perturbative backend emits (normalized rank
 // displacements — values in [0, 1] with heavy exact ties from repeated
-// displacement counts) must compare bit-identically on both engines.
-// Runs under the full MDC_SIMD_LEVEL matrix like every other oracle case.
+// displacement counts) must compare bit-identically to the scalar §5
+// functions. Runs under the full MDC_SIMD_LEVEL matrix like every other
+// oracle case.
 TEST(ComparisonOracle, PermutationDerivedVectorsMatchScalar) {
   constexpr size_t kRows[] = {17, 64, 65, 257};
   for (size_t n : kRows) {
@@ -504,23 +482,19 @@ TEST(ComparisonOracle, PermutationDerivedVectorsMatchScalar) {
     for (const PropertySet* set : {&privacy_set, &utility_set}) {
       auto matrix = PropertyMatrix::FromSet(*set);
       ASSERT_TRUE(matrix.ok());
-      AllPairsOptions scalar_options;
-      scalar_options.engine = CompareEngine::kScalar;
-      scalar_options.d_max =
+      AllPairsOptions packed_options;
+      packed_options.d_max =
           PropertyVector("ideal", std::vector<double>(n, 1.0));
-      AllPairsOptions packed_options = scalar_options;
-      packed_options.engine = CompareEngine::kPacked;
-      auto scalar = AllPairsCompare(*matrix, scalar_options);
+      const AllPairsResult scalar = ScalarAllPairs(*matrix, packed_options);
       auto packed = AllPairsCompare(*matrix, packed_options);
-      ASSERT_TRUE(scalar.ok());
       ASSERT_TRUE(packed.ok());
-      ExpectIdenticalResults(*scalar, *packed,
+      ExpectIdenticalResults(scalar, *packed,
                              "permutation vectors n=" + std::to_string(n));
       // Small blocks force remainder handling on the same data.
       packed_options.block = 7;
       auto blocked = AllPairsCompare(*matrix, packed_options);
       ASSERT_TRUE(blocked.ok());
-      ExpectIdenticalResults(*scalar, *blocked,
+      ExpectIdenticalResults(scalar, *blocked,
                              "permutation vectors block=7 n=" +
                                  std::to_string(n));
     }
