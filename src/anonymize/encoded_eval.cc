@@ -91,9 +91,8 @@ StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
   MDC_RETURN_IF_ERROR(RunContext::Check(run));
   MDC_FAILPOINT("full_domain.evaluate");
   MDC_RETURN_IF_ERROR(ValidateNode(node));
-  // Counted only after the budget check, failpoint, and validation so the
-  // serial path (which may stop mid-wave on budget expiry) and the wave
-  // path (admission-checked, workers run with run == nullptr) agree.
+  // Counted only after the budget check, failpoint, and validation, so a
+  // node that a budget or injected fault stops is never counted.
   MDC_METRIC_INC("eval.nodes");
 
   const size_t rows = bundle_->view.row_count();
@@ -111,7 +110,7 @@ StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
       EquivalencePartition::FromCodeColumns(rows, label_cols, cards);
 
   // Rows of classes smaller than k are suppression candidates; class order
-  // is canonical, so this list matches the legacy path's.
+  // is canonical, so this list matches the reference's.
   std::vector<size_t> to_suppress;
   for (ClassSpan members : evaluation.partition.classes()) {
     if (members.size() < static_cast<size_t>(k)) {
@@ -120,7 +119,7 @@ StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
   }
   const size_t max_rows = budget.MaxRows(rows);
   if (to_suppress.size() > max_rows) {
-    // Infeasible at this node; keep the raw partition, like the legacy
+    // Infeasible at this node; keep the raw partition, like the reference
     // path, so callers can still inspect it.
     return evaluation;
   }

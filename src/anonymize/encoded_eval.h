@@ -1,32 +1,36 @@
-// Columnar lattice-node evaluation.
+// Columnar lattice-node evaluation: the one node evaluator every
+// full-domain search (Datafly, Samarati, optimal, Incognito, stochastic,
+// Pareto, top-down, bottom-up) runs on.
 //
-// The legacy EvaluateNode() generalizes every cell through its hierarchy
-// (string construction per row per column) and groups rows with a
-// string-keyed map. EncodedNodeEvaluator does the same work in integer
-// space: the dataset's QI columns are dictionary-encoded once
-// (table/encoded_view.h), each (position, level) gets a code translation
-// table built from the distinct values only (hierarchy/level_codec.h), and
-// evaluating a node is then an O(rows) integer gather plus hash-grouping on
-// packed code tuples. Label codes are assigned in sorted-label order, so
-// the resulting EquivalencePartition is bit-identical to the legacy path's
-// — same class order, same members, same ClassOfRow.
+// The reference EvaluateNode() (full_domain.h) generalizes every cell
+// through its hierarchy (string construction per row per column) and
+// groups rows with a string-keyed map; no search calls it — it is the
+// oracle tests and benches compare against. EncodedNodeEvaluator does the
+// same work in integer space: the dataset's QI columns are
+// dictionary-encoded once (table/encoded_view.h), each (position, level)
+// gets a code translation table built from the distinct values only
+// (hierarchy/level_codec.h), and evaluating a node is then an O(rows)
+// integer gather plus hash-grouping on packed code tuples. Label codes are
+// assigned in sorted-label order, so the resulting EquivalencePartition is
+// bit-identical to the reference's — same class order, same members, same
+// ClassOfRow.
 //
 // Evaluate() reproduces EvaluateNode()'s observable sequence — the k
 // check, RunContext::Check, the "full_domain.evaluate" failpoint, node
 // validation, suppression policy, feasibility — without materializing the
 // released table. Materialize() builds the full NodeEvaluation (release
 // labels, suppressed rows starred) when a caller actually needs it, which
-// the searches only do for the few feasible nodes they score.
+// the searches only do for the few nodes they score or return.
 //
 // One intentional divergence: values that a hierarchy cannot generalize
 // surface as an error from Build() (all levels are translated up front)
 // instead of from the first node evaluation that touches the bad level.
-// The Status itself is the same one the legacy path would return.
+// The Status itself is the same one the reference would return.
 //
-// EvaluateBatch() fans one batch of nodes out over a ThreadPool. Workers
+// EvaluateBatch() fans one wave of nodes out over a ThreadPool. Workers
 // run with run = nullptr — the caller charges RunContext in deterministic
 // node order *before* dispatch, so a step budget expires at exactly the
-// same node index as a serial sweep (see the searches' wave loops).
+// same node index for any thread count (see the searches' wave loops).
 
 #ifndef MDC_ANONYMIZE_ENCODED_EVAL_H_
 #define MDC_ANONYMIZE_ENCODED_EVAL_H_
@@ -68,7 +72,7 @@ StatusOr<std::shared_ptr<const EncodedBundle>> BuildEncodedBundle(
 class EncodedNodeEvaluator {
  public:
   // What a search needs from a node before deciding to keep it. `partition`
-  // matches legacy NodeEvaluation::partition exactly: post-suppression when
+  // matches EvaluateNode()'s partition exactly: post-suppression when
   // suppression fit the budget, the raw partition otherwise.
   struct Evaluation {
     EquivalencePartition partition;
@@ -132,6 +136,14 @@ class EncodedNodeEvaluator {
   Schema release_schema_;
   std::shared_ptr<const EncodedBundle> bundle_;
 };
+
+// Nodes a search admits per wave: one at one thread, so admission,
+// evaluation and commit interleave node by node; four per thread otherwise.
+inline size_t WaveSize(const ThreadPool& pool) {
+  return pool.thread_count() <= 1
+             ? 1
+             : static_cast<size_t>(pool.thread_count()) * 4;
+}
 
 // Evaluates `nodes` concurrently over `pool`, each with run = nullptr.
 // results[i] corresponds to nodes[i]; a slot is only unset if the closure

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "common/failpoint.h"
-#include "common/metrics.h"
 
 namespace mdc {
 
@@ -16,7 +15,6 @@ StatusOr<NodeEvaluation> EvaluateNode(std::shared_ptr<const Dataset> original,
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   MDC_RETURN_IF_ERROR(RunContext::Check(run));
   MDC_FAILPOINT("full_domain.evaluate");
-  MDC_METRIC_INC("eval.nodes_legacy");
   MDC_ASSIGN_OR_RETURN(GeneralizationScheme scheme,
                        GeneralizationScheme::Create(hierarchies, node));
   MDC_ASSIGN_OR_RETURN(

@@ -1,11 +1,12 @@
 // Shared machinery for full-domain generalization algorithms.
 //
-// Datafly, Samarati, the optimal lattice search and the stochastic search
-// all evaluate lattice nodes the same way: apply the node's scheme, find
-// the equivalence classes, suppress the rows of classes smaller than k if
-// the suppression budget allows, and report feasibility. Suppressed rows
-// stay in the release fully generalized (paper §3) and are exempt from the
-// k-anonymity check.
+// Every full-domain search evaluates lattice nodes the same way: apply the
+// node's scheme, find the equivalence classes, suppress the rows of classes
+// smaller than k if the suppression budget allows, and report feasibility.
+// Suppressed rows stay in the release fully generalized (paper §3) and are
+// exempt from the k-anonymity check. The searches all run this on
+// EncodedNodeEvaluator (encoded_eval.h); EvaluateNode() below is the
+// string-path reference it is tested and benchmarked against.
 
 #ifndef MDC_ANONYMIZE_FULL_DOMAIN_H_
 #define MDC_ANONYMIZE_FULL_DOMAIN_H_
@@ -89,12 +90,13 @@ struct NodeEvaluation {
   bool feasible = false;  // k-anonymous after within-budget suppression.
 };
 
-// Applies `node` over `hierarchies`, suppresses undersized classes within
-// budget, and reports whether the result is k-anonymous (suppressed rows
-// exempt). `k` must be >= 1. A non-null `run` is charged one work-step per
-// call; an exhausted budget returns the budget Status before any work, so
-// every algorithm that evaluates nodes in a loop is budget-checked at node
-// granularity for free.
+// The reference node evaluation; no search calls it. Applies `node` over
+// `hierarchies` cell by cell, suppresses undersized classes within budget,
+// and reports whether the result is k-anonymous (suppressed rows exempt).
+// `k` must be >= 1. A non-null `run` is charged one work-step per call; an
+// exhausted budget returns the budget Status before any work.
+// EncodedNodeEvaluator::Evaluate/Materialize must agree with it exactly
+// (tests/encoded_eval_test.cc).
 StatusOr<NodeEvaluation> EvaluateNode(std::shared_ptr<const Dataset> original,
                                       const HierarchySet& hierarchies,
                                       const LatticeNode& node, int k,

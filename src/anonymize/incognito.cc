@@ -3,54 +3,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 
+#include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "hierarchy/level_codec.h"
-#include "table/encoded_view.h"
 
 namespace mdc {
 namespace {
-
-// Interned labels: label_ids[pos][level][row] is a small integer
-// identifying Generalize(cell(row, column_of(pos)), level). Built by
-// dictionary-encoding each column once and gathering through the per-level
-// code tables — O(distinct) hierarchy lookups instead of O(rows), and the
-// same Status on ungeneralizable values as the per-row path.
-struct LabelTable {
-  std::vector<std::vector<std::vector<int>>> label_ids;
-
-  static StatusOr<LabelTable> Build(const Dataset& data,
-                                    const HierarchySet& hierarchies) {
-    MDC_ASSIGN_OR_RETURN(EncodedView view,
-                         EncodedView::Build(data, hierarchies.columns()));
-    MDC_ASSIGN_OR_RETURN(LevelCodec codec,
-                         LevelCodec::Build(view, hierarchies));
-    LabelTable table;
-    table.label_ids.resize(hierarchies.size());
-    for (size_t pos = 0; pos < hierarchies.size(); ++pos) {
-      const AlignedVector<uint32_t>& codes = view.codes(pos);
-      const int height = codec.height(pos);
-      table.label_ids[pos].resize(static_cast<size_t>(height) + 1);
-      for (int level = 0; level <= height; ++level) {
-        const LevelCodeTable& lut = codec.table(pos, level);
-        std::vector<int>& ids =
-            table.label_ids[pos][static_cast<size_t>(level)];
-        ids.resize(codes.size());
-        for (size_t row = 0; row < codes.size(); ++row) {
-          ids[row] = static_cast<int>(lut.value_to_label[codes[row]]);
-        }
-      }
-    }
-    return table;
-  }
-};
 
 struct VectorHash {
   size_t operator()(const std::vector<int>& v) const {
@@ -63,18 +27,26 @@ struct VectorHash {
 };
 
 // Frequency check: rows in classes smaller than k, over the projection of
-// the data onto `subset` at `node` levels. Feasible iff the count fits in
-// the suppression budget.
-bool ProjectionFeasible(const LabelTable& labels,
+// the data onto `subset` at `node` levels — each row's key is its label
+// codes, gathered from the evaluator's value codes through the level
+// tables. Feasible iff the count fits in the suppression budget.
+bool ProjectionFeasible(const EncodedNodeEvaluator& evaluator,
                         const std::vector<size_t>& subset,
-                        const std::vector<int>& node, size_t row_count,
-                        int k, size_t max_suppressed) {
+                        const std::vector<int>& node, int k,
+                        size_t max_suppressed) {
+  std::vector<const AlignedVector<uint32_t>*> codes(subset.size());
+  std::vector<const std::vector<uint32_t>*> labels(subset.size());
+  for (size_t i = 0; i < subset.size(); ++i) {
+    codes[i] = &evaluator.view().codes(subset[i]);
+    labels[i] = &evaluator.codec().table(subset[i], node[i]).value_to_label;
+  }
+  const size_t row_count = evaluator.row_count();
   std::unordered_map<std::vector<int>, size_t, VectorHash> counts;
   counts.reserve(row_count);
   std::vector<int> key(subset.size());
   for (size_t row = 0; row < row_count; ++row) {
     for (size_t i = 0; i < subset.size(); ++i) {
-      key[i] = labels.label_ids[subset[i]][static_cast<size_t>(node[i])][row];
+      key[i] = static_cast<int>((*labels[i])[(*codes[i])[row]]);
     }
     ++counts[key];
   }
@@ -177,24 +149,15 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
   MDC_METRIC_INC("search.incognito.runs");
   MDC_RETURN_IF_ERROR(hierarchies.CoversQuasiIdentifiers(original->schema()));
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
-  MDC_ASSIGN_OR_RETURN(LabelTable labels,
-                       LabelTable::Build(*original, hierarchies));
-  // Best-effort accounting of the dominant allocation: one interned id per
-  // (position, level, row).
-  for (const auto& levels : labels.label_ids) {
-    for (const auto& ids : levels) {
-      RunContext::ChargeMemory(run, ids.size() * sizeof(int));
-    }
-  }
-  const int threads = ThreadPool::ResolveThreadCount(config.threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
+                       EncodedNodeEvaluator::Build(original, hierarchies, run));
+  ThreadPool pool(ThreadPool::ResolveThreadCount(config.threads));
 
   IncognitoResult result;
   result.lattice_size = lattice.NodeCount();
   const size_t m = hierarchies.size();
-  const size_t row_count = original->row_count();
-  const size_t max_suppressed = config.suppression.MaxRows(row_count);
+  const size_t max_suppressed =
+      config.suppression.MaxRows(original->row_count());
   const std::vector<int> all_max = hierarchies.MaxLevels();
 
   // satisfying[subset] = set of satisfying level vectors over that subset.
@@ -294,93 +257,65 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
       return true;
     };
 
-    if (!pool.has_value()) {
-      for (size_t node_idx = first_node; node_idx < nodes.size();
-           ++node_idx) {
+    // Wave sweep of the sub-lattice. Both prunings only consult smaller
+    // subsets (complete) or nodes one height down, so nodes of one height
+    // are independent: a wave admits nodes of a single height — replaying
+    // the budget + failpoint sequence per node in sweep order, resolving
+    // prunes inline — then runs the frequency checks concurrently and
+    // commits verdicts in sweep order.
+    auto height_of = [](const std::vector<int>& node) {
+      int h = 0;
+      for (int v : node) h += v;
+      return h;
+    };
+    const size_t wave = WaveSize(pool);
+    size_t node_idx = first_node;
+    while (node_idx < nodes.size() && budget_status.ok()) {
+      const int height = height_of(nodes[node_idx]);
+      Status admit_error;  // Budget/failpoint error, at `node_idx`.
+      bool admit_error_is_budget = false;
+      std::vector<size_t> batch;  // Indices into `nodes`.
+      while (node_idx < nodes.size() && batch.size() < wave &&
+             height_of(nodes[node_idx]) == height) {
         const std::vector<int>& node = nodes[node_idx];
-        if (Status status = RunContext::Check(run); !status.ok()) {
-          if (!handle_budget(node_idx, status)) return status;
+        admit_error = RunContext::Check(run);
+        if (!admit_error.ok()) {
+          admit_error_is_budget = true;
           break;
         }
-        MDC_FAILPOINT("incognito.node");
+        admit_error = MDC_FAILPOINT_STATUS("incognito.node");
+        if (!admit_error.ok()) break;
         if (subset_pruned(node)) {
           MDC_METRIC_INC("search.incognito.subset_pruned");
+          ++node_idx;
           continue;
         }
         if (implied_by_predecessor(node)) {
           MDC_METRIC_INC("search.incognito.implied_pruned");
           sat.insert(node);
+          ++node_idx;
           continue;
         }
+        batch.push_back(node_idx);
+        ++node_idx;
+      }
+      std::vector<char> feasible(batch.size(), 0);
+      pool.ParallelFor(batch.size(), [&](size_t j) {
+        feasible[j] = ProjectionFeasible(evaluator, subset, nodes[batch[j]],
+                                         config.k, max_suppressed)
+                          ? 1
+                          : 0;
+      });
+      for (size_t j = 0; j < batch.size(); ++j) {
         ++result.frequency_evaluations;
         MDC_METRIC_INC("search.incognito.frequency_checks");
-        if (ProjectionFeasible(labels, subset, node, row_count, config.k,
-                               max_suppressed)) {
-          sat.insert(node);
-        }
+        if (feasible[j] != 0) sat.insert(nodes[batch[j]]);
       }
-    } else {
-      // Wave-parallel sweep of the sub-lattice. Both prunings only consult
-      // smaller subsets (complete) or nodes one height down, so nodes of
-      // one height are independent: a wave admits nodes of a single height
-      // — replaying the budget + failpoint sequence per node in sweep
-      // order, resolving prunes inline — then runs the frequency checks
-      // concurrently and commits verdicts in sweep order.
-      auto height_of = [](const std::vector<int>& node) {
-        int h = 0;
-        for (int v : node) h += v;
-        return h;
-      };
-      const size_t wave = static_cast<size_t>(pool->thread_count()) * 4;
-      size_t node_idx = first_node;
-      while (node_idx < nodes.size() && budget_status.ok()) {
-        const int height = height_of(nodes[node_idx]);
-        Status admit_error;  // Budget/failpoint error, at `node_idx`.
-        bool admit_error_is_budget = false;
-        std::vector<size_t> batch;  // Indices into `nodes`.
-        while (node_idx < nodes.size() && batch.size() < wave &&
-               height_of(nodes[node_idx]) == height) {
-          const std::vector<int>& node = nodes[node_idx];
-          admit_error = RunContext::Check(run);
-          if (!admit_error.ok()) {
-            admit_error_is_budget = true;
-            break;
-          }
-          admit_error = MDC_FAILPOINT_STATUS("incognito.node");
-          if (!admit_error.ok()) break;
-          if (subset_pruned(node)) {
-            MDC_METRIC_INC("search.incognito.subset_pruned");
-            ++node_idx;
-            continue;
-          }
-          if (implied_by_predecessor(node)) {
-            MDC_METRIC_INC("search.incognito.implied_pruned");
-            sat.insert(node);
-            ++node_idx;
-            continue;
-          }
-          batch.push_back(node_idx);
-          ++node_idx;
-        }
-        std::vector<char> feasible(batch.size(), 0);
-        pool->ParallelFor(batch.size(), [&](size_t j) {
-          feasible[j] =
-              ProjectionFeasible(labels, subset, nodes[batch[j]], row_count,
-                                 config.k, max_suppressed)
-                  ? 1
-                  : 0;
-        });
-        for (size_t j = 0; j < batch.size(); ++j) {
-          ++result.frequency_evaluations;
-          MDC_METRIC_INC("search.incognito.frequency_checks");
-          if (feasible[j] != 0) sat.insert(nodes[batch[j]]);
-        }
-        if (!admit_error.ok()) {
-          // A budget error degrades exactly as in the serial sweep; an
-          // injected failpoint error propagates as-is.
-          if (!admit_error_is_budget) return admit_error;
-          if (!handle_budget(node_idx, admit_error)) return admit_error;
-        }
+      if (!admit_error.ok()) {
+        // A budget error degrades to the sound partial result; an
+        // injected failpoint error propagates as-is.
+        if (!admit_error_is_budget) return admit_error;
+        if (!handle_budget(node_idx, admit_error)) return admit_error;
       }
     }
   }
@@ -408,16 +343,24 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
 
   bool have_best = false;
   for (const LatticeNode& node : result.minimal_nodes) {
-    MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                         EvaluateNode(original, hierarchies, node, config.k,
-                                      config.suppression, "incognito"));
-    MDC_CHECK_MSG(evaluation.feasible,
-                  "Incognito-satisfying node fails full evaluation");
-    double node_loss = loss(evaluation.anonymization, evaluation.partition);
+    MDC_ASSIGN_OR_RETURN(
+        EncodedNodeEvaluator::Evaluation evaluation,
+        evaluator.Evaluate(node, config.k, config.suppression));
+    if (!evaluation.feasible) {
+      // A fresh search's frequency checks and the full evaluation agree,
+      // so only verdicts resumed from another run's checkpoint get here.
+      return Status::FailedPrecondition(
+          "Incognito: satisfying node " + Lattice::ToString(node) +
+          " fails full evaluation; the checkpoint does not match this data "
+          "or k");
+    }
+    MDC_ASSIGN_OR_RETURN(NodeEvaluation released,
+                         evaluator.Materialize(node, evaluation, "incognito"));
+    double node_loss = loss(released.anonymization, released.partition);
     if (!have_best || node_loss < result.best_loss) {
       result.best_loss = node_loss;
       result.best_node = node;
-      result.best = std::move(evaluation);
+      result.best = std::move(released);
       have_best = true;
     }
   }

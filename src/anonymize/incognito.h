@@ -28,11 +28,11 @@ namespace mdc {
 struct IncognitoConfig {
   int k = 2;
   SuppressionBudget suppression;
-  // Worker threads for frequency checks; 1 = serial, <= 0 = one per
-  // hardware thread. Nodes of one height within a subset's sub-lattice
+  // Worker threads for frequency checks; 1 = one node per wave, <= 0 = one
+  // per hardware thread. Nodes of one height within a subset's sub-lattice
   // evaluate concurrently (both prunings only consult smaller subsets or
   // lower heights); results are identical for any thread count and step
-  // budgets expire on the same node as a serial run.
+  // budgets expire on the same node as a one-thread run.
   int threads = 1;
 };
 

@@ -1,7 +1,6 @@
 #include "anonymize/optimal_lattice.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_map>
 
 #include "anonymize/encoded_eval.h"
@@ -75,9 +74,7 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
   MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
                        EncodedNodeEvaluator::Build(original, hierarchies, run,
                                                    config.encoded));
-  const int threads = ThreadPool::ResolveThreadCount(config.threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  ThreadPool pool(ThreadPool::ResolveThreadCount(config.threads));
 
   OptimalSearchResult result;
   result.lattice_size = lattice.NodeCount();
@@ -101,14 +98,16 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     result.minimal_nodes = checkpoint->minimal_nodes;
     result.nodes_evaluated = static_cast<size_t>(checkpoint->nodes_evaluated);
     if (!result.minimal_nodes.empty()) {
-      // Re-derive the best evaluation: EvaluateNode is deterministic, so
+      // Re-derive the best evaluation: evaluation is deterministic, so
       // this reproduces exactly what the interrupted run held in memory.
       result.best_node = checkpoint->best_node;
       result.best_loss = checkpoint->best_loss;
       MDC_ASSIGN_OR_RETURN(
+          EncodedNodeEvaluator::Evaluation best,
+          evaluator.Evaluate(result.best_node, config.k, config.suppression));
+      MDC_ASSIGN_OR_RETURN(
           result.best,
-          EvaluateNode(original, hierarchies, result.best_node, config.k,
-                       config.suppression, "optimal"));
+          evaluator.Materialize(result.best_node, best, "optimal"));
     }
   }
 
@@ -152,9 +151,22 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
   };
 
   bool truncated = false;
-  if (!pool.has_value()) {
-    for (size_t node_index = start_index; node_index < all_nodes.size();
-         ++node_index) {
+  // Wave sweep. Monotonicity pruning only consults nodes one height below,
+  // so nodes of one height are independent: a wave admits nodes of a
+  // single height, replaying the failpoint + budget sequence per node in
+  // sweep order BEFORE dispatch (a step budget expires at exactly the same
+  // node for any thread count), then evaluates the wave concurrently and
+  // commits results in sweep order.
+  const size_t wave = WaveSize(pool);
+  size_t node_index = start_index;
+  while (node_index < all_nodes.size() && !truncated) {
+    const int height = lattice.Height(all_nodes[node_index]);
+    Status admit_error;  // First failpoint/budget error, at `node_index`.
+    std::vector<LatticeNode> batch;
+    std::vector<size_t> batch_lattice_index;
+    std::vector<size_t> batch_sweep_index;
+    while (node_index < all_nodes.size() && batch.size() < wave &&
+           lattice.Height(all_nodes[node_index]) == height) {
       const LatticeNode& node = all_nodes[node_index];
       size_t index = lattice.IndexOf(node);
       bool implied = false;
@@ -167,96 +179,48 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
       if (implied) {
         satisfying[index] = 1;
         MDC_METRIC_INC("search.optimal.implied_pruned");
-        continue;  // Not minimal; skip evaluation entirely.
-      }
-      MDC_FAILPOINT("optimal.node");
-      auto evaluation_or =
-          evaluator.Evaluate(node, config.k, config.suppression, run);
-      if (!evaluation_or.ok()) {
-        if (evaluation_or.status().IsBudgetError()) {
-          capture(node_index);
-          // Degrade to the minimal nodes already found; each is sound. With
-          // nothing found yet, the budget error propagates.
-          if (!result.minimal_nodes.empty()) {
-            truncated = true;
-            break;
-          }
-        }
-        return evaluation_or.status();
-      }
-      MDC_RETURN_IF_ERROR(
-          commit(node, index, std::move(evaluation_or).value()));
-    }
-  } else {
-    // Wave-parallel sweep. Monotonicity pruning only consults nodes one
-    // height below, so nodes of one height are independent: a wave admits
-    // nodes of a single height, replaying the failpoint + budget sequence
-    // per node in sweep order BEFORE dispatch (a step budget expires at
-    // exactly the node a serial sweep would stop at), then evaluates the
-    // wave concurrently and commits results in sweep order.
-    const size_t wave = static_cast<size_t>(pool->thread_count()) * 4;
-    size_t node_index = start_index;
-    while (node_index < all_nodes.size() && !truncated) {
-      const int height = lattice.Height(all_nodes[node_index]);
-      Status admit_error;  // First failpoint/budget error, at `node_index`.
-      std::vector<LatticeNode> batch;
-      std::vector<size_t> batch_lattice_index;
-      std::vector<size_t> batch_sweep_index;
-      while (node_index < all_nodes.size() && batch.size() < wave &&
-             lattice.Height(all_nodes[node_index]) == height) {
-        const LatticeNode& node = all_nodes[node_index];
-        size_t index = lattice.IndexOf(node);
-        bool implied = false;
-        for (const LatticeNode& pred : lattice.Predecessors(node)) {
-          if (satisfying[lattice.IndexOf(pred)] != 0) {
-            implied = true;
-            break;
-          }
-        }
-        if (implied) {
-          satisfying[index] = 1;
-          MDC_METRIC_INC("search.optimal.implied_pruned");
-          ++node_index;
-          continue;
-        }
-        admit_error = MDC_FAILPOINT_STATUS("optimal.node");
-        if (admit_error.ok()) admit_error = RunContext::Check(run);
-        if (!admit_error.ok()) break;
-        batch.push_back(node);
-        batch_lattice_index.push_back(index);
-        batch_sweep_index.push_back(node_index);
         ++node_index;
+        continue;
       }
-      auto results =
-          EvaluateBatch(evaluator, batch, config.k, config.suppression, *pool);
-      for (size_t j = 0; j < batch.size() && !truncated; ++j) {
-        StatusOr<EncodedNodeEvaluator::Evaluation>& eval_or = *results[j];
-        if (!eval_or.ok()) {
-          // Workers run without `run`, but injected faults may still carry
-          // a budget code; mirror the serial degrade path.
-          if (eval_or.status().IsBudgetError()) {
-            capture(batch_sweep_index[j]);
-            if (!result.minimal_nodes.empty()) {
-              truncated = true;
-              continue;
-            }
-          }
-          return eval_or.status();
-        }
-        MDC_RETURN_IF_ERROR(commit(batch[j], batch_lattice_index[j],
-                                   std::move(eval_or).value()));
-      }
-      if (truncated) break;
-      if (!admit_error.ok()) {
-        if (admit_error.IsBudgetError()) {
-          capture(node_index);
+      admit_error = MDC_FAILPOINT_STATUS("optimal.node");
+      if (admit_error.ok()) admit_error = RunContext::Check(run);
+      if (!admit_error.ok()) break;
+      batch.push_back(node);
+      batch_lattice_index.push_back(index);
+      batch_sweep_index.push_back(node_index);
+      ++node_index;
+    }
+    auto results =
+        EvaluateBatch(evaluator, batch, config.k, config.suppression, pool);
+    for (size_t j = 0; j < batch.size() && !truncated; ++j) {
+      StatusOr<EncodedNodeEvaluator::Evaluation>& eval_or = *results[j];
+      if (!eval_or.ok()) {
+        // Workers run without `run`, but injected faults may still carry
+        // a budget code; degrade as for an admission budget error.
+        if (eval_or.status().IsBudgetError()) {
+          capture(batch_sweep_index[j]);
           if (!result.minimal_nodes.empty()) {
             truncated = true;
-            break;
+            continue;
           }
         }
-        return admit_error;
+        return eval_or.status();
       }
+      MDC_RETURN_IF_ERROR(commit(batch[j], batch_lattice_index[j],
+                                 std::move(eval_or).value()));
+    }
+    if (truncated) break;
+    if (!admit_error.ok()) {
+      if (admit_error.IsBudgetError()) {
+        capture(node_index);
+        // Degrade to the minimal nodes already found; each is sound. With
+        // nothing found yet, the budget error propagates.
+        if (!result.minimal_nodes.empty()) {
+          truncated = true;
+          break;
+        }
+      }
+      return admit_error;
     }
   }
 
@@ -271,10 +235,12 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     for (const LatticeNode& node : result.minimal_nodes) {
       for (const LatticeNode& succ : lattice.Successors(node)) {
         MDC_ASSIGN_OR_RETURN(
-            NodeEvaluation evaluation,
-            EvaluateNode(original, hierarchies, succ, config.k,
-                         config.suppression, "optimal"));
-        if (!SatisfiesAll(config, evaluation)) {
+            EncodedNodeEvaluator::Evaluation evaluation,
+            evaluator.Evaluate(succ, config.k, config.suppression));
+        MDC_ASSIGN_OR_RETURN(
+            NodeEvaluation released,
+            evaluator.Materialize(succ, evaluation, "optimal"));
+        if (!SatisfiesAll(config, released)) {
           return Status::FailedPrecondition(
               "privacy predicate is not monotone: " +
               Lattice::ToString(node) + " satisfies but its successor " +

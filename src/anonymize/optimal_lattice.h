@@ -39,11 +39,11 @@ struct OptimalSearchConfig {
   // If true, every satisfying minimal node's successors are re-checked and
   // a violation returns kFailedPrecondition instead of a wrong optimum.
   bool verify_monotonicity = false;
-  // Worker threads for node evaluation; 1 = serial, <= 0 = one per
-  // hardware thread. Nodes of one lattice height evaluate concurrently
+  // Worker threads for node evaluation; 1 = one node per wave, <= 0 = one
+  // per hardware thread. Nodes of one lattice height evaluate concurrently
   // (monotonicity pruning only looks one height down); results are
   // identical for any thread count and step-budget expiry lands on the
-  // same node as a serial run (deadlines at wave granularity).
+  // same node as a one-thread run (deadlines at wave granularity).
   int threads = 1;
   // Prebuilt encode/translate tables for exactly this (dataset,
   // hierarchies) pair (see EncodedBundle in encoded_eval.h). Null builds
@@ -55,7 +55,7 @@ struct OptimalSearchConfig {
 // Resumable sweep position: `next_index` points into the deterministic
 // AllNodesByHeight order; `satisfying` is the monotonicity bitmap over
 // lattice indices accumulated so far. The best evaluation itself is not
-// serialized — `best_node` is re-evaluated on resume (EvaluateNode is
+// serialized — `best_node` is re-evaluated on resume (evaluation is
 // deterministic), which keeps checkpoints small.
 struct OptimalLatticeCheckpoint final : Checkpointable {
   uint64_t next_index = 0;

@@ -125,9 +125,7 @@ StatusOr<ParetoLatticeResult> ParetoLatticeSearch(
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
   MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
                        EncodedNodeEvaluator::Build(original, hierarchies, run));
-  const int threads = ThreadPool::ResolveThreadCount(config.threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  ThreadPool pool(ThreadPool::ResolveThreadCount(config.threads));
 
   ParetoLatticeResult result;
   result.lattice_size = lattice.NodeCount();
@@ -157,66 +155,47 @@ StatusOr<ParetoLatticeResult> ParetoLatticeSearch(
   };
 
   bool truncated = false;
-  if (!pool.has_value()) {
-    for (size_t node_index = start_index; node_index < all_nodes.size();
-         ++node_index) {
-      const LatticeNode& node = all_nodes[node_index];
-      if (Status status = RunContext::Check(run); !status.ok()) {
-        if (!handle_budget(node_index)) return status;
-        truncated = true;
+  // Wave sweep: candidates are independent, so a wave admits nodes in
+  // sweep order — replaying the budget + failpoint sequence and the
+  // per-candidate memory charge per node BEFORE dispatch (so a step or
+  // memory budget expires at exactly the same node for any thread count) —
+  // evaluates them concurrently and commits in sweep order. Candidates
+  // retain two n-entry property vectors each; the charge accounts for them
+  // so a memory budget can stop an oversized sweep.
+  const size_t wave = WaveSize(pool);
+  size_t node_index = start_index;
+  while (node_index < all_nodes.size() && !truncated) {
+    Status admit_error;  // Budget/failpoint error, at `node_index`.
+    bool admit_error_is_budget = false;
+    std::vector<LatticeNode> batch;
+    while (node_index < all_nodes.size() && batch.size() < wave) {
+      admit_error = RunContext::Check(run);
+      if (!admit_error.ok()) {
+        admit_error_is_budget = true;
         break;
       }
-      MDC_FAILPOINT("pareto.node");
-      MDC_ASSIGN_OR_RETURN(ParetoCandidate candidate,
-                           BuildCandidate(evaluator, node));
-      // Candidates retain two n-entry property vectors each; account for
-      // them so a memory budget can stop an oversized sweep.
+      admit_error = MDC_FAILPOINT_STATUS("pareto.node");
+      if (!admit_error.ok()) break;
       RunContext::ChargeMemory(run,
                                2 * original->row_count() * sizeof(double));
-      MDC_METRIC_INC("search.pareto.candidates");
-      result.candidates.push_back(std::move(candidate));
+      batch.push_back(all_nodes[node_index]);
+      ++node_index;
     }
-  } else {
-    // Wave-parallel sweep: candidates are independent, so a wave admits
-    // nodes in sweep order — replaying the budget + failpoint sequence and
-    // the per-candidate memory charge per node BEFORE dispatch (so a step
-    // or memory budget expires at exactly the node a serial sweep would
-    // stop at) — evaluates them concurrently and commits in sweep order.
-    const size_t wave = static_cast<size_t>(pool->thread_count()) * 4;
-    size_t node_index = start_index;
-    while (node_index < all_nodes.size() && !truncated) {
-      Status admit_error;  // Budget/failpoint error, at `node_index`.
-      bool admit_error_is_budget = false;
-      std::vector<LatticeNode> batch;
-      while (node_index < all_nodes.size() && batch.size() < wave) {
-        admit_error = RunContext::Check(run);
-        if (!admit_error.ok()) {
-          admit_error_is_budget = true;
-          break;
-        }
-        admit_error = MDC_FAILPOINT_STATUS("pareto.node");
-        if (!admit_error.ok()) break;
-        RunContext::ChargeMemory(run,
-                                 2 * original->row_count() * sizeof(double));
-        batch.push_back(all_nodes[node_index]);
-        ++node_index;
-      }
-      std::vector<std::optional<StatusOr<ParetoCandidate>>> built(
-          batch.size());
-      pool->ParallelFor(batch.size(), [&](size_t j) {
-        built[j].emplace(BuildCandidate(evaluator, batch[j]));
-      });
-      for (size_t j = 0; j < batch.size(); ++j) {
-        StatusOr<ParetoCandidate>& candidate_or = *built[j];
-        if (!candidate_or.ok()) return candidate_or.status();
-        MDC_METRIC_INC("search.pareto.candidates");
-        result.candidates.push_back(std::move(candidate_or).value());
-      }
-      if (!admit_error.ok()) {
-        if (!admit_error_is_budget) return admit_error;
-        if (!handle_budget(node_index)) return admit_error;
-        truncated = true;
-      }
+    std::vector<std::optional<StatusOr<ParetoCandidate>>> built(
+        batch.size());
+    pool.ParallelFor(batch.size(), [&](size_t j) {
+      built[j].emplace(BuildCandidate(evaluator, batch[j]));
+    });
+    for (size_t j = 0; j < batch.size(); ++j) {
+      StatusOr<ParetoCandidate>& candidate_or = *built[j];
+      if (!candidate_or.ok()) return candidate_or.status();
+      MDC_METRIC_INC("search.pareto.candidates");
+      result.candidates.push_back(std::move(candidate_or).value());
+    }
+    if (!admit_error.ok()) {
+      if (!admit_error_is_budget) return admit_error;
+      if (!handle_budget(node_index)) return admit_error;
+      truncated = true;
     }
   }
 

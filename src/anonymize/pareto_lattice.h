@@ -26,10 +26,10 @@ struct ParetoLatticeConfig {
   // per-tuple vectors incomparable across nodes in a trivial way), so the
   // search runs without a suppression budget.
 
-  // Worker threads for candidate evaluation; 1 = serial, <= 0 = one per
-  // hardware thread. Candidates are independent, so any thread count
-  // yields identical fronts; step budgets expire on the same node as a
-  // serial run (deadlines at wave granularity).
+  // Worker threads for candidate evaluation; 1 = one node per wave, <= 0 =
+  // one per hardware thread. Candidates are independent, so any thread
+  // count yields identical fronts; step budgets expire on the same node as
+  // a one-thread run (deadlines at wave granularity).
   int threads = 1;
 };
 

@@ -1,7 +1,5 @@
 #include "anonymize/samarati.h"
 
-#include <optional>
-
 #include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -26,15 +24,15 @@ struct SweepState {
 // feasible ones to sweep.feasible. On error (budget or injected), leaves
 // `sweep` positioned at the node that was not evaluated.
 //
-// With a multi-thread pool the sweep runs in waves: the failpoint + budget
-// sequence is replayed per node in deterministic order BEFORE dispatch, so
-// a step budget expires at exactly the node a serial sweep would stop at;
-// admitted nodes evaluate concurrently and commit in node order.
+// The sweep runs in waves: the failpoint + budget sequence is replayed per
+// node in deterministic order BEFORE dispatch, so a step budget expires at
+// exactly the same node for any thread count; admitted nodes evaluate
+// concurrently and commit in node order.
 Status CollectFeasibleAtHeight(const EncodedNodeEvaluator& evaluator,
                                const Lattice& lattice, int height,
                                const SamaratiConfig& config,
                                size_t& nodes_evaluated, SweepState& sweep,
-                               RunContext* run, ThreadPool* pool) {
+                               RunContext* run, ThreadPool& pool) {
   TRACE_SPAN("samarati/sweep_height");
   MDC_METRIC_INC("search.samarati.height_sweeps");
   std::vector<LatticeNode> nodes = lattice.NodesAtHeight(height);
@@ -42,25 +40,7 @@ Status CollectFeasibleAtHeight(const EncodedNodeEvaluator& evaluator,
     return Status::InvalidArgument(
         "samarati checkpoint: sweep index out of range");
   }
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    for (size_t i = sweep.next_node; i < nodes.size(); ++i) {
-      sweep.next_node = i;
-      MDC_FAILPOINT("samarati.evaluate");
-      MDC_ASSIGN_OR_RETURN(
-          EncodedNodeEvaluator::Evaluation evaluation,
-          evaluator.Evaluate(nodes[i], config.k, config.suppression, run));
-      ++nodes_evaluated;
-      MDC_METRIC_INC("search.samarati.nodes_evaluated");
-      if (evaluation.feasible) {
-        MDC_METRIC_INC("search.samarati.feasible_nodes");
-        sweep.feasible.push_back(nodes[i]);
-      }
-    }
-    sweep.next_node = nodes.size();
-    return Status::Ok();
-  }
-
-  const size_t wave = static_cast<size_t>(pool->thread_count()) * 4;
+  const size_t wave = WaveSize(pool);
   size_t next = sweep.next_node;
   while (next < nodes.size()) {
     size_t begin = next;
@@ -74,7 +54,7 @@ Status CollectFeasibleAtHeight(const EncodedNodeEvaluator& evaluator,
       ++next;
     }
     auto results =
-        EvaluateBatch(evaluator, batch, config.k, config.suppression, *pool);
+        EvaluateBatch(evaluator, batch, config.k, config.suppression, pool);
     for (size_t j = 0; j < batch.size(); ++j) {
       sweep.next_node = begin + j;
       StatusOr<EncodedNodeEvaluator::Evaluation>& result = *results[j];
@@ -151,10 +131,7 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
   MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
                        EncodedNodeEvaluator::Build(original, hierarchies, run,
                                                    config.encoded));
-  const int threads = ThreadPool::ResolveThreadCount(config.threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
+  ThreadPool pool(ThreadPool::ResolveThreadCount(config.threads));
 
   SamaratiResult result;
 
@@ -210,14 +187,16 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
     double best_loss = 0.0;
     bool have_best = false;
     for (const LatticeNode& node : result.minimal_nodes) {
-      MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                           EvaluateNode(original, hierarchies, node, config.k,
-                                        config.suppression, "samarati"));
-      double node_loss = loss(evaluation.anonymization, evaluation.partition);
+      MDC_ASSIGN_OR_RETURN(
+          EncodedNodeEvaluator::Evaluation evaluation,
+          evaluator.Evaluate(node, config.k, config.suppression));
+      MDC_ASSIGN_OR_RETURN(NodeEvaluation released,
+                           evaluator.Materialize(node, evaluation, "samarati"));
+      double node_loss = loss(released.anonymization, released.partition);
       if (!have_best || node_loss < best_loss) {
         best_loss = node_loss;
         result.best_node = node;
-        result.best = std::move(evaluation);
+        result.best = std::move(released);
         have_best = true;
       }
     }
@@ -232,7 +211,7 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
     Status status = CollectFeasibleAtHeight(evaluator, lattice,
                                             lattice.MaxHeight(), config,
                                             result.nodes_evaluated, sweep,
-                                            run, pool_ptr);
+                                            run, pool);
     if (!status.ok()) {
       if (status.IsBudgetError()) capture(0);
       return status;
@@ -253,7 +232,7 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
       int mid = lo + (hi - lo) / 2;
       Status status = CollectFeasibleAtHeight(evaluator, lattice, mid, config,
                                               result.nodes_evaluated, sweep,
-                                              run, pool_ptr);
+                                              run, pool);
       if (!status.ok()) {
         // Degrade to the lowest feasible height already mapped; the top is
         // known feasible, so fall back to it if no mid succeeded yet.
@@ -283,7 +262,7 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
   // last probe was below); sweep it now to collect all minimal nodes.
   Status status = CollectFeasibleAtHeight(evaluator, lattice, lo, config,
                                           result.nodes_evaluated, sweep, run,
-                                          pool_ptr);
+                                          pool);
   if (!status.ok()) {
     if (!status.IsBudgetError()) return status;
     capture(2);

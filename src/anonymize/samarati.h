@@ -22,10 +22,10 @@ struct EncodedBundle;
 struct SamaratiConfig {
   int k = 2;
   SuppressionBudget suppression;
-  // Worker threads for node evaluation; 1 = serial, <= 0 = one per
-  // hardware thread. Results are identical for any thread count; budget
-  // expiry and checkpoints land on the same node as a serial run (step
-  // budgets exactly; deadlines at wave granularity).
+  // Worker threads for node evaluation; 1 = one node per wave, <= 0 = one
+  // per hardware thread. Results are identical for any thread count;
+  // budget expiry and checkpoints land on the same node as a one-thread
+  // run (step budgets exactly; deadlines at wave granularity).
   int threads = 1;
   // Prebuilt encode/translate tables for exactly this (dataset,
   // hierarchies) pair (see EncodedBundle in encoded_eval.h). Null builds

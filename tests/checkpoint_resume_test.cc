@@ -15,6 +15,7 @@
 #include "anonymize/pareto_lattice.h"
 #include "anonymize/samarati.h"
 #include "anonymize/stochastic.h"
+#include "datagen/census_generator.h"
 #include "paper/paper_data.h"
 #include "table/dataset.h"
 
@@ -335,6 +336,44 @@ TEST(CheckpointResumeTest, MismatchedLatticeIsRejectedOnResume) {
   stochastic.next_restart = 1000;  // Beyond config.restarts.
   EXPECT_EQ(RunStochastic(nullptr, &stochastic).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointResumeTest, IncognitoResumeUnderAnotherKIsAFailedPrecondition) {
+  // Verdicts checkpointed at k=2 hold nodes that are not 50-anonymous; the
+  // resumed run must say so with a Status instead of aborting.
+  CensusConfig census_config;
+  census_config.rows = 200;
+  census_config.seed = 7;
+  census_config.with_occupation = false;
+  auto census = GenerateCensus(census_config);
+  ASSERT_TRUE(census.ok());
+  IncognitoConfig config;
+  config.k = 2;
+  RunContext unbudgeted;
+  ASSERT_TRUE(IncognitoAnonymize(census->data, census->hierarchies, config,
+                                 ProxyLoss, &unbudgeted)
+                  .ok());
+
+  RunContext run;
+  run.set_max_steps(unbudgeted.steps() - 1);
+  IncognitoCheckpoint checkpoint;
+  auto truncated = IncognitoAnonymize(census->data, census->hierarchies,
+                                      config, ProxyLoss, &run, &checkpoint);
+  ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
+  ASSERT_TRUE(truncated->run_stats.truncated);
+  auto bytes = checkpoint.SaveCheckpoint();
+  ASSERT_TRUE(bytes.ok());
+
+  IncognitoCheckpoint loaded;
+  ASSERT_TRUE(loaded.ResumeFrom(*bytes).ok());
+  config.k = 50;
+  auto resumed = IncognitoAnonymize(census->data, census->hierarchies,
+                                    config, ProxyLoss, nullptr, &loaded);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find("checkpoint does not match"),
+            std::string::npos)
+      << resumed.status().ToString();
 }
 
 }  // namespace

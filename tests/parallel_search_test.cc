@@ -1,5 +1,5 @@
 // Thread-count invariance of the five lattice searches: for any worker
-// count, every search must return a result bit-identical to its serial
+// count, every search must return a result bit-identical to its one-thread
 // run — same nodes, same losses, same evaluation counters, same released
 // tables — including when a step budget expires mid-search (the wave
 // protocol replays budget charges in deterministic node order before
