@@ -1,9 +1,10 @@
-// PERF-3: substrate microbenchmarks — equivalence partitioning, hierarchy
-// generalization, EMD, and loss-metric evaluation.
+// PERF-3: substrate microbenchmarks — CSV parse and render, equivalence
+// partitioning, hierarchy generalization, EMD, and loss-metric evaluation.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 
 #include "anonymize/equivalence.h"
 #include "anonymize/generalizer.h"
@@ -36,6 +37,52 @@ Anonymization MakeRelease(const CensusData& census, int level) {
   MDC_CHECK(anon.ok());
   return std::move(anon).value();
 }
+
+// Census text as ToCsv renders it, with its schema.
+struct CensusText {
+  Schema schema;
+  std::string text;
+};
+
+CensusText MakeCensusText(size_t rows) {
+  CensusConfig config;
+  config.rows = rows;
+  config.seed = 7;
+  auto census = GenerateCensus(config);
+  MDC_CHECK(census.ok());
+  return {census->data->schema(), census->data->ToCsv()};
+}
+
+void BM_DatasetFromCsv(benchmark::State& state) {
+  const CensusText census = MakeCensusText(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto parsed = Dataset::FromCsv(census.schema, census.text);
+    MDC_CHECK(parsed.ok());
+    benchmark::DoNotOptimize(parsed->row_count());
+    state.PauseTiming();
+    MDC_CHECK(parsed->ToCsv() == census.text);
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(census.text.size()));
+}
+BENCHMARK(BM_DatasetFromCsv)->Arg(10000)->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DatasetToCsv(benchmark::State& state) {
+  const CensusText census = MakeCensusText(static_cast<size_t>(state.range(0)));
+  auto parsed = Dataset::FromCsv(census.schema, census.text);
+  MDC_CHECK(parsed.ok());
+  for (auto _ : state) {
+    std::string text = parsed->ToCsv();
+    benchmark::DoNotOptimize(text.data());
+    MDC_CHECK(text == census.text);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(census.text.size()));
+}
+BENCHMARK(BM_DatasetToCsv)->Arg(10000)->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GeneralizeRelease(benchmark::State& state) {
   CensusData census = MakeCensus(static_cast<size_t>(state.range(0)));

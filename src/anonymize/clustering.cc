@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/strings.h"
+#include "table/encoded_view.h"
 
 namespace mdc {
 namespace {
@@ -27,26 +27,24 @@ struct Embedding {
       const bool is_string =
           data.schema().attribute(column).type == AttributeType::kString;
       if (is_string) {
-        std::vector<Value> distinct = data.DistinctValues(column);
-        std::map<std::string, double> position;
-        for (size_t i = 0; i < distinct.size(); ++i) {
-          position[distinct[i].AsString()] =
-              distinct.size() > 1
-                  ? static_cast<double>(i) /
-                        static_cast<double>(distinct.size() - 1)
-                  : 0.0;
-        }
+        // Codes of an encoded view are the ranks of the sorted distinct
+        // values.
+        MDC_ASSIGN_OR_RETURN(EncodedView view,
+                             EncodedView::Build(data, {column}));
+        const size_t distinct = view.distinct_values(0).size();
         for (size_t row = 0; row < data.row_count(); ++row) {
           embedding.coords[row].push_back(
-              position.at(data.cell(row, column).AsString()));
+              distinct > 1 ? static_cast<double>(view.codes(0)[row]) /
+                                 static_cast<double>(distinct - 1)
+                           : 0.0);
         }
       } else {
         MDC_ASSIGN_OR_RETURN(auto range, data.NumericRange(column));
         double span = range.second - range.first;
+        const std::vector<double> values = data.Numbers(column);
         for (size_t row = 0; row < data.row_count(); ++row) {
-          double v = data.cell(row, column).AsNumber();
           embedding.coords[row].push_back(
-              span > 0.0 ? (v - range.first) / span : 0.0);
+              span > 0.0 ? (values[row] - range.first) / span : 0.0);
         }
       }
     }
@@ -77,27 +75,28 @@ double SpreadWith(const Embedding& embedding,
   return spread;
 }
 
-// Range label per cluster and column, Mondrian-style.
+// Range label per cluster and column, Mondrian-style. `numbers` is a
+// numeric column as doubles (Dataset::Numbers), empty for a string column.
 std::string ClusterLabel(const Dataset& data,
+                         const std::vector<double>& numbers,
                          const std::vector<size_t>& members, size_t column) {
-  const bool is_string =
-      data.schema().attribute(column).type == AttributeType::kString;
-  if (is_string) {
-    std::string lo = data.cell(members[0], column).AsString();
-    std::string hi = lo;
+  if (numbers.empty()) {
+    const std::vector<std::string>& dictionary = data.dictionary(column);
+    const std::span<const uint32_t> codes = data.codes(column);
+    const std::string* lo = &dictionary[codes[members[0]]];
+    const std::string* hi = lo;
     for (size_t row : members) {
-      const std::string& v = data.cell(row, column).AsString();
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+      const std::string& v = dictionary[codes[row]];
+      if (v < *lo) lo = &v;
+      if (*hi < v) hi = &v;
     }
-    return lo == hi ? lo : "[" + lo + ".." + hi + "]";
+    return *lo == *hi ? *lo : "[" + *lo + ".." + *hi + "]";
   }
-  double lo = data.cell(members[0], column).AsNumber();
+  double lo = numbers[members[0]];
   double hi = lo;
   for (size_t row : members) {
-    double v = data.cell(row, column).AsNumber();
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    lo = std::min(lo, numbers[row]);
+    hi = std::max(hi, numbers[row]);
   }
   if (lo == hi) return FormatCompact(lo);
   return "[" + FormatCompact(lo) + "-" + FormatCompact(hi) + "]";
@@ -211,22 +210,27 @@ StatusOr<ClusteringResult> KMemberClusterAnonymize(
   // Release with per-cluster range labels.
   MDC_ASSIGN_OR_RETURN(Schema release_schema,
                        Generalizer::ReleaseSchema(schema, qi_columns));
-  std::vector<std::vector<std::string>> labels(n);
-  for (const std::vector<size_t>& members : clusters) {
-    std::vector<std::string> cluster_labels;
-    for (size_t column : qi_columns) {
-      cluster_labels.push_back(ClusterLabel(*original, members, column));
+  // One label per cluster and QI column, interned in that column's
+  // dictionary; every other column is the original's, copied whole.
+  std::vector<Dataset::Column> columns =
+      original->CopyColumnsExcept(qi_columns);
+  for (size_t column : qi_columns) {
+    const std::vector<double> numbers =
+        schema.attribute(column).type == AttributeType::kString
+            ? std::vector<double>{}
+            : original->Numbers(column);
+    Dataset::Column& out = columns[column];
+    StringInterner labels;
+    out.codes.resize(n);
+    for (const std::vector<size_t>& members : clusters) {
+      const uint32_t code = labels.Intern(
+          ClusterLabel(*original, numbers, members, column), out.dictionary);
+      for (size_t row : members) out.codes[row] = code;
     }
-    for (size_t row : members) labels[row] = cluster_labels;
   }
-  Dataset release(release_schema);
-  for (size_t row = 0; row < n; ++row) {
-    Dataset::Row out = original->row(row);
-    for (size_t i = 0; i < qi_columns.size(); ++i) {
-      out[qi_columns[i]] = Value(labels[row][i]);
-    }
-    MDC_RETURN_IF_ERROR(release.AppendRow(std::move(out)));
-  }
+  MDC_ASSIGN_OR_RETURN(
+      Dataset release,
+      Dataset::FromColumns(std::move(release_schema), std::move(columns)));
 
   ClusteringResult result;
   result.cluster_count = clusters.size();

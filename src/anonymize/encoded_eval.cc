@@ -158,22 +158,25 @@ StatusOr<NodeEvaluation> EncodedNodeEvaluator::Materialize(
   std::vector<bool> suppressed(rows, false);
   for (size_t row : evaluation.suppressed_rows) suppressed[row] = true;
 
-  std::vector<const LevelCodeTable*> tables(m);
+  // Each released QI column is the level's label codes over its label
+  // table, unused labels and "*" included; the rest are copied whole.
+  std::vector<Dataset::Column> columns =
+      original_->CopyColumnsExcept(qi_columns);
   for (size_t pos = 0; pos < m; ++pos) {
-    tables[pos] = &bundle_->codec.table(pos, node[pos]);
-  }
-  Dataset release(release_schema_);
-  release.ReserveRows(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    Dataset::Row row = original_->row(r);
-    for (size_t pos = 0; pos < m; ++pos) {
-      uint32_t code = suppressed[r] ? tables[pos]->star_code
-                                    : tables[pos]->value_to_label[
-                                          bundle_->view.codes(pos)[r]];
-      row[qi_columns[pos]] = Value(tables[pos]->labels[code]);
+    const LevelCodeTable& table = bundle_->codec.table(pos, node[pos]);
+    const AlignedVector<uint32_t>& value_codes = bundle_->view.codes(pos);
+    Dataset::Column& column = columns[qi_columns[pos]];
+    column.codes.resize(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      column.codes[r] = suppressed[r]
+                            ? table.star_code
+                            : table.value_to_label[value_codes[r]];
     }
-    MDC_RETURN_IF_ERROR(release.AppendRow(std::move(row)));
+    column.dictionary = table.labels;
   }
+  MDC_ASSIGN_OR_RETURN(
+      Dataset release,
+      Dataset::FromColumns(release_schema_, std::move(columns)));
 
   NodeEvaluation out{
       Anonymization{original_, std::move(release), qi_columns,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <span>
 #include <string>
 
 #include "common/metrics.h"
@@ -121,12 +122,27 @@ EquivalencePartition EquivalencePartition::FromColumns(
     const Dataset& dataset, const std::vector<size_t>& columns) {
   // std::map keys give deterministic (sorted) class order. The scratch key
   // is reused across rows: groups that already exist cost no allocation.
+  // A key cell is the printed value (Value::ToString); a string column
+  // reads it from its dictionary (null for other columns).
   std::map<std::vector<std::string>, std::vector<size_t>> groups;
   std::vector<std::string> key;
   key.reserve(columns.size());
+  std::vector<const std::vector<std::string>*> dictionaries;
+  std::vector<std::span<const uint32_t>> codes;
+  for (size_t c : columns) {
+    const bool is_string =
+        dataset.schema().attribute(c).type == AttributeType::kString;
+    dictionaries.push_back(is_string ? &dataset.dictionary(c) : nullptr);
+    codes.push_back(is_string ? dataset.codes(c)
+                              : std::span<const uint32_t>{});
+  }
   for (size_t r = 0; r < dataset.row_count(); ++r) {
     key.clear();
-    for (size_t c : columns) key.push_back(dataset.cell(r, c).ToString());
+    for (size_t i = 0; i < columns.size(); ++i) {
+      key.push_back(dictionaries[i] != nullptr
+                        ? (*dictionaries[i])[codes[i][r]]
+                        : dataset.cell(r, columns[i]).ToString());
+    }
     auto it = groups.find(key);
     if (it == groups.end()) it = groups.emplace(key, std::vector<size_t>{}).first;
     it->second.push_back(r);

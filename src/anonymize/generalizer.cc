@@ -46,31 +46,53 @@ StatusOr<Anonymization> Generalizer::Apply(
   const std::vector<size_t>& qi_columns = scheme.hierarchies().columns();
   MDC_ASSIGN_OR_RETURN(Schema release_schema,
                        ReleaseSchema(schema, qi_columns));
-  Dataset release(release_schema);
-  release.ReserveRows(original->row_count());
   // Hoist the per-position hierarchy and level lookups out of the row loop.
+  // A string column is generalized once per dictionary entry, on the first
+  // row that holds it, so the first failing cell is still the row-major
+  // one.
+  constexpr uint32_t kUnseen = UINT32_MAX;
   struct Binding {
     size_t column;
     const ValueHierarchy* hierarchy;
     int level;
+    StringInterner labels;
+    std::vector<uint32_t> label_of_code;  // String columns only.
   };
   std::vector<Binding> bindings;
   bindings.reserve(qi_columns.size());
   for (size_t pos = 0; pos < qi_columns.size(); ++pos) {
-    bindings.push_back({qi_columns[pos], &scheme.hierarchies().At(pos),
-                        scheme.levels()[pos]});
+    const size_t column = qi_columns[pos];
+    const bool is_string =
+        schema.attribute(column).type == AttributeType::kString;
+    bindings.push_back(
+        {column, &scheme.hierarchies().At(pos), scheme.levels()[pos], {},
+         std::vector<uint32_t>(
+             is_string ? original->dictionary(column).size() : 0, kUnseen)});
   }
+  std::vector<Dataset::Column> columns =
+      original->CopyColumnsExcept(qi_columns);
   for (size_t r = 0; r < original->row_count(); ++r) {
-    Dataset::Row row = original->row(r);
-    for (const Binding& binding : bindings) {
+    for (Binding& binding : bindings) {
+      Dataset::Column& out = columns[binding.column];
+      uint32_t* memo = nullptr;
+      if (!binding.label_of_code.empty()) {
+        memo = &binding.label_of_code[original->codes(binding.column)[r]];
+        if (*memo != kUnseen) {
+          out.codes.push_back(*memo);
+          continue;
+        }
+      }
       MDC_ASSIGN_OR_RETURN(
           std::string label,
           binding.hierarchy->Generalize(original->cell(r, binding.column),
                                         binding.level));
-      row[binding.column] = Value(std::move(label));
+      out.codes.push_back(binding.labels.Intern(label, out.dictionary));
+      if (memo != nullptr) *memo = out.codes.back();
     }
-    MDC_RETURN_IF_ERROR(release.AppendRow(std::move(row)));
   }
+  MDC_ASSIGN_OR_RETURN(
+      Dataset release,
+      Dataset::FromColumns(std::move(release_schema), std::move(columns)));
 
   const size_t rows = release.row_count();
   Anonymization out{std::move(original),

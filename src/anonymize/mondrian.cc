@@ -78,11 +78,10 @@ QiColumn MakeQiColumn(const Dataset& data, const EncodedView& view,
     auto zero = std::find(qi.numbers.begin(), qi.numbers.end(), 0.0);
     if (zero != qi.numbers.end()) {
       const auto code = static_cast<uint32_t>(zero - qi.numbers.begin());
+      const std::span<const double> cells = data.reals(qi.column);
       bool sign_seen[2] = {false, false};
-      for (size_t row = 0; row < data.row_count(); ++row) {
-        if (qi.codes[row] == code) {
-          sign_seen[std::signbit(data.cell(row, qi.column).AsReal())] = true;
-        }
+      for (size_t row = 0; row < cells.size(); ++row) {
+        if (qi.codes[row] == code) sign_seen[std::signbit(cells[row])] = true;
       }
       if (sign_seen[0] && sign_seen[1]) qi.signed_zero_code = code;
     }
@@ -244,7 +243,7 @@ double FirstZero(const MondrianState& state, const Dataset& data,
     const std::pair<uint32_t, size_t> key{cut == nullptr ? 0 : cut[row], row};
     if (!first || key < *first) first = key;
   }
-  return data.cell(first->second, qi.column).AsReal();
+  return data.reals(qi.column)[first->second];
 }
 
 // "[lo<sep>hi]".
@@ -281,20 +280,25 @@ std::string CodeLabel(const MondrianState& state, const Dataset& data,
 // The classes FromColumns would group the release into, without reading
 // it back: finished partitions in label-tuple order (the std::map order
 // of the label strings), partitions that print the same tuple merged into
-// one class. FormatCompact keeps 6 decimals, so reals closer than 1e-6
-// can collide. Merged member lists are stored in `merged`.
+// one class. `tuples` holds each partition's label codes into the
+// release's QI columns; a dictionary holds each label once, so equal codes
+// are equal labels. FormatCompact keeps 6 decimals, so reals closer than
+// 1e-6 can collide. Merged member lists are stored in `merged`.
 std::vector<ClassSpan> ClassesInLabelOrder(
-    const MondrianState& state, const std::vector<Value>& labels,
-    std::vector<std::vector<size_t>>& merged) {
+    const MondrianState& state, const std::vector<uint32_t>& tuples,
+    const Dataset& release, std::vector<std::vector<size_t>>& merged) {
   const size_t m = state.qi.size();
-  auto tuple = [&labels, m](uint32_t part) {
-    return labels.begin() + static_cast<long>(part * m);
+  auto tuple = [&tuples, m](uint32_t part) {
+    return tuples.begin() + static_cast<long>(part * m);
   };
   std::vector<uint32_t> order(state.finished.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return std::lexicographical_compare(tuple(a), tuple(a) + m, tuple(b),
-                                        tuple(b) + m);
+    const auto [at_a, at_b] = std::mismatch(tuple(a), tuple(a) + m, tuple(b));
+    if (at_a == tuple(a) + m) return false;
+    const std::vector<std::string>& labels = release.dictionary(
+        state.qi[static_cast<size_t>(at_a - tuple(a))].column);
+    return labels[*at_a] < labels[*at_b];
   });
   std::vector<ClassSpan> classes;
   merged.reserve(order.size());  // Spans point into the inner vectors.
@@ -361,44 +365,43 @@ StatusOr<MondrianResult> MondrianAnonymize(
   Recurse(state, 0, row_count, 0, -1);
   if (!state.injected.ok()) return state.injected;
 
-  // One label tuple per finished partition; every row of the release
-  // copies its partition's tuple.
+  // One label tuple per finished partition, each label interned in its
+  // position's dictionary. A released QI column is the label code of each
+  // row's partition; every other column is the original's, copied whole.
   const size_t m = qi_columns.size();
-  std::vector<Value> labels;
-  labels.reserve(state.finished.size() * m);
-  std::vector<uint32_t> partition_of_row(row_count);
-  for (uint32_t p = 0; p < state.finished.size(); ++p) {
-    const FinishedPartition& part = state.finished[p];
+  std::vector<Dataset::Column> columns =
+      original->CopyColumnsExcept(qi_columns);
+  std::vector<uint32_t> tuples;  // [partition * m + pos] -> label code.
+  tuples.reserve(state.finished.size() * m);
+  std::vector<StringInterner> interners(m);
+  for (const FinishedPartition& part : state.finished) {
     for (size_t pos = 0; pos < m; ++pos) {
-      labels.emplace_back(CodeLabel(state, *original, part, pos));
+      tuples.push_back(interners[pos].Intern(
+          CodeLabel(state, *original, part, pos),
+          columns[qi_columns[pos]].dictionary));
     }
-    for (size_t i = part.begin; i < part.end; ++i) {
-      partition_of_row[state.rows[i]] = p;
+  }
+  for (size_t pos = 0; pos < m; ++pos) {
+    std::vector<uint32_t>& codes = columns[qi_columns[pos]].codes;
+    codes.resize(row_count);
+    for (size_t p = 0; p < state.finished.size(); ++p) {
+      const FinishedPartition& part = state.finished[p];
+      const uint32_t code = tuples[p * m + pos];
+      for (size_t i = part.begin; i < part.end; ++i) {
+        codes[state.rows[i]] = code;
+      }
     }
   }
   MDC_ASSIGN_OR_RETURN(Schema release_schema,
                        Generalizer::ReleaseSchema(schema, qi_columns));
-  Dataset release(release_schema);
-  release.ReserveRows(row_count);
-  std::vector<int> qi_pos(schema.attribute_count(), -1);
-  for (size_t pos = 0; pos < m; ++pos) {
-    qi_pos[qi_columns[pos]] = static_cast<int>(pos);
-  }
-  for (size_t r = 0; r < row_count; ++r) {
-    const Value* row_labels = &labels[partition_of_row[r] * m];
-    Dataset::Row row;
-    row.reserve(qi_pos.size());
-    for (size_t c = 0; c < qi_pos.size(); ++c) {
-      row.push_back(qi_pos[c] < 0 ? original->cell(r, c)
-                                  : row_labels[qi_pos[c]]);
-    }
-    MDC_RETURN_IF_ERROR(release.AppendRow(std::move(row)));
-  }
+  MDC_ASSIGN_OR_RETURN(
+      Dataset release,
+      Dataset::FromColumns(std::move(release_schema), std::move(columns)));
 
   MondrianResult result;
   std::vector<std::vector<size_t>> merged;
   result.partition = EquivalencePartition::FromOrderedGroups(
-      row_count, ClassesInLabelOrder(state, labels, merged));
+      row_count, ClassesInLabelOrder(state, tuples, release, merged));
   result.partition_count = state.finished.size();
   result.max_depth = state.max_depth;
   result.run_stats = RunContext::Stats(run, state.truncated);

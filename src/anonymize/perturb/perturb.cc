@@ -255,11 +255,7 @@ StatusOr<PerturbResult> PerturbAnonymize(
     if (count == 0) break;
     pool.ParallelFor(count, [&](size_t s) {
       const size_t c = begin + s;
-      std::vector<double> values(rows);
-      for (size_t r = 0; r < rows; ++r) {
-        values[r] = original->cell(r, columns[c]).AsNumber();
-      }
-      released[c] = RunMechanism(config, values, c);
+      released[c] = RunMechanism(config, original->Numbers(columns[c]), c);
     });
     // In-order commit: the deterministic perturb.* counters advance in
     // column order regardless of evaluation schedule.
@@ -292,15 +288,14 @@ StatusOr<PerturbResult> PerturbAnonymize(
   for (size_t c : columns) attributes[c].type = AttributeType::kReal;
   MDC_ASSIGN_OR_RETURN(Schema release_schema,
                        Schema::Create(std::move(attributes)));
-  Dataset release(release_schema);
-  release.ReserveRows(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    Dataset::Row row = original->row(r);
-    for (size_t c = 0; c < columns.size(); ++c) {
-      row[columns[c]] = Value(released[c][r]);
-    }
-    MDC_RETURN_IF_ERROR(release.AppendRow(std::move(row)));
+  std::vector<Dataset::Column> release_columns =
+      original->CopyColumnsExcept(columns);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    release_columns[columns[c]].reals = std::move(released[c]);
   }
+  MDC_ASSIGN_OR_RETURN(Dataset release,
+                       Dataset::FromColumns(std::move(release_schema),
+                                            std::move(release_columns)));
 
   MDC_METRIC_INC("perturb.runs");
   PerturbResult result;

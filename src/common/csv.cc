@@ -1,5 +1,6 @@
 #include "common/csv.h"
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 
@@ -7,77 +8,118 @@
 #include "common/failpoint.h"
 
 namespace mdc {
+namespace {
 
-StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
-    std::string_view text) {
+// The bytes that end or alter an unquoted field.
+constexpr auto kSpecial = [] {
+  std::array<bool, 256> special{};
+  for (unsigned char c : {',', '\n', '"', '\r'}) special[c] = true;
+  return special;
+}();
+
+bool IsSpecial(char c) { return kSpecial[static_cast<unsigned char>(c)]; }
+
+}  // namespace
+
+Status ForEachCsvRecord(
+    std::string_view text,
+    const std::function<void(std::span<const std::string_view>)>& on_record) {
   MDC_FAILPOINT("csv.parse");
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool row_started = false;
-
+  // A field is a slice of `text` until a quote or a dropped '\r' moves it
+  // into `scratch`. Spans are offsets, not views, while the record grows:
+  // `scratch` may reallocate.
+  struct Span {
+    bool copied = false;
+    size_t begin = 0;
+    size_t size = 0;
+  };
+  std::vector<Span> spans;
+  std::vector<std::string_view> fields;
+  std::string scratch;
+  const size_t n = text.size();
   size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
+  bool in_record = false;
+  while (true) {
+    if (!in_record) {
+      // Blank lines, CRs included, make no record.
+      while (i < n && (text[i] == '\r' || text[i] == '\n')) ++i;
+      if (i == n) return Status::Ok();
+      in_record = true;
+    }
+    Span span{false, i, 0};
+    bool in_quotes = false;
+    char terminator = 0;  // ',' or '\n'; 0 at the end of the text.
+    while (i < n) {
+      // A slice grows to the next byte that needs the state machine.
+      if (!span.copied && !in_quotes) {
+        while (i < n && !IsSpecial(text[i])) ++i;
+        if (i == n) break;
+      }
+      const char c = text[i];
+      if (in_quotes) {
+        if (c == '"' && i + 1 < n && text[i + 1] == '"') {
+          scratch += '"';
           i += 2;
         } else {
-          in_quotes = false;
+          if (c == '"') {
+            in_quotes = false;
+          } else {
+            scratch += c;
+          }
           ++i;
         }
-      } else {
-        field += c;
-        ++i;
+        continue;
       }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        if (!field.empty()) {
+      if (c == ',' || c == '\n') {
+        terminator = c;
+        break;
+      }
+      if (c == '"' || c == '\r') {
+        const bool empty =
+            span.copied ? scratch.size() == span.begin : i == span.begin;
+        if (c == '"' && !empty) {
           return Status::InvalidArgument(
               "quote in the middle of an unquoted CSV field");
         }
-        in_quotes = true;
-        row_started = true;
-        ++i;
-        break;
-      case ',':
-        row.push_back(std::move(field));
-        field.clear();
-        row_started = true;
-        ++i;
-        break;
-      case '\r':
-        ++i;
-        break;
-      case '\n':
-        if (row_started || !field.empty() || !row.empty()) {
-          row.push_back(std::move(field));
-          field.clear();
-          rows.push_back(std::move(row));
-          row.clear();
+        if (!span.copied) {
+          const size_t begin = span.begin;
+          span = {true, scratch.size(), 0};
+          scratch.append(text.substr(begin, i - begin));
         }
-        row_started = false;
+        in_quotes = c == '"';
         ++i;
-        break;
-      default:
-        field += c;
-        row_started = true;
-        ++i;
-        break;
+        continue;
+      }
+      if (span.copied) scratch += c;
+      ++i;
     }
+    if (in_quotes) {
+      return Status::InvalidArgument("unterminated quoted CSV field");
+    }
+    span.size = span.copied ? scratch.size() - span.begin : i - span.begin;
+    spans.push_back(span);
+    if (i < n) ++i;  // Past the terminator.
+    if (terminator == ',') continue;
+    fields.clear();
+    for (const Span& s : spans) {
+      fields.push_back(s.copied
+                           ? std::string_view(scratch).substr(s.begin, s.size)
+                           : text.substr(s.begin, s.size));
+    }
+    on_record(fields);
+    spans.clear();
+    scratch.clear();
+    in_record = false;
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted CSV field");
-  }
-  if (row_started || !field.empty() || !row.empty()) {
-    row.push_back(std::move(field));
-    rows.push_back(std::move(row));
-  }
+}
+
+StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
+    std::string_view text) {
+  std::vector<std::vector<std::string>> rows;
+  MDC_RETURN_IF_ERROR(ForEachCsvRecord(
+      text, [&rows](std::span<const std::string_view> fields) {
+        rows.emplace_back(fields.begin(), fields.end());
+      }));
   return rows;
 }
 

@@ -7,6 +7,8 @@
 #ifndef MDC_COMMON_CSV_H_
 #define MDC_COMMON_CSV_H_
 
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,8 +17,19 @@
 
 namespace mdc {
 
-// Parses a whole CSV document into rows of fields. Handles \n and \r\n line
-// endings. A trailing newline does not produce an empty final row.
+// The one CSV tokenizer. Splits `text` into records and calls `on_record`
+// with each record's fields, in order. Handles \n and \r\n line endings;
+// blank lines make no record, and a trailing newline does not produce an
+// empty final record. A field that needed no unquoting views `text`, any
+// other views scratch storage; either view lives only for the call.
+// Returns the first syntax error — a quote inside an unquoted field, or an
+// unterminated quoted field (found at the end of the text) — after the
+// records before it were delivered.
+Status ForEachCsvRecord(
+    std::string_view text,
+    const std::function<void(std::span<const std::string_view>)>& on_record);
+
+// Parses a whole CSV document into rows of fields (ForEachCsvRecord).
 StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
     std::string_view text);
 

@@ -175,31 +175,29 @@ StatusOr<std::vector<double>> NumericReleaseColumn(
         "column '" + original.schema().attribute(column).name +
         "' is not numeric in the original schema");
   }
+  // A numeric release column is read as is; a generalized (string-label)
+  // one maps each row to the mean ORIGINAL value of its class — the
+  // reverse mapping.
+  if (release.schema().attribute(column).type != AttributeType::kString) {
+    return release.Numbers(column);
+  }
   const size_t rows = release.row_count();
   std::vector<double> out(rows, 0.0);
-  // Class means of the ORIGINAL values, computed lazily on the first
-  // generalized (string-label) cell — the reverse mapping.
-  std::vector<double> class_mean;
+  if (rows == 0) return out;
+  if (partition == nullptr) {
+    return Status::InvalidArgument(
+        "generalized release column needs an equivalence partition for "
+        "reverse mapping");
+  }
+  const std::vector<double> values = original.Numbers(column);
+  std::vector<double> class_mean(partition->class_count(), 0.0);
+  for (size_t c = 0; c < partition->class_count(); ++c) {
+    ClassSpan members = partition->class_members(c);
+    double sum = 0.0;
+    for (size_t row : members) sum += values[row];
+    class_mean[c] = sum / static_cast<double>(members.size());
+  }
   for (size_t r = 0; r < rows; ++r) {
-    const Value& cell = release.cell(r, column);
-    if (!cell.is_string()) {
-      out[r] = cell.AsNumber();
-      continue;
-    }
-    if (partition == nullptr) {
-      return Status::InvalidArgument(
-          "generalized release column needs an equivalence partition for "
-          "reverse mapping");
-    }
-    if (class_mean.empty()) {
-      class_mean.assign(partition->class_count(), 0.0);
-      for (size_t c = 0; c < partition->class_count(); ++c) {
-        ClassSpan members = partition->class_members(c);
-        double sum = 0.0;
-        for (size_t row : members) sum += original.cell(row, column).AsNumber();
-        class_mean[c] = sum / static_cast<double>(members.size());
-      }
-    }
     out[r] = class_mean[partition->ClassOfRow(r)];
   }
   return out;
@@ -218,11 +216,7 @@ StatusOr<PermutationModel> PermutationModelFor(
     if (type != AttributeType::kInt && type != AttributeType::kReal) continue;
     MDC_ASSIGN_OR_RETURN(std::vector<double> released,
                          NumericReleaseColumn(anonymization, partition, qi));
-    std::vector<double> originals(anonymization.original->row_count());
-    for (size_t r = 0; r < originals.size(); ++r) {
-      originals[r] = anonymization.original->cell(r, qi).AsNumber();
-    }
-    original_columns.push_back(std::move(originals));
+    original_columns.push_back(anonymization.original->Numbers(qi));
     anonymized_columns.push_back(std::move(released));
     names.push_back(schema.attribute(qi).name);
   }

@@ -1,6 +1,7 @@
 #include "privacy/personalized.h"
 
 #include <algorithm>
+#include <span>
 
 namespace mdc {
 
@@ -26,6 +27,17 @@ StatusOr<std::vector<double>> PersonalizedPrivacy::BreachProbabilities(
   MDC_ASSIGN_OR_RETURN(size_t column,
                        ResolveSensitiveColumn(anonymization.release.schema(),
                                               sensitive_column_));
+  // Covers takes a Value: a string column makes one per dictionary entry,
+  // read by code, not one per visit of a cell.
+  const Dataset& original = *anonymization.original;
+  std::vector<Value> by_code;
+  std::span<const uint32_t> codes;
+  if (original.schema().attribute(column).type == AttributeType::kString) {
+    for (const std::string& entry : original.dictionary(column)) {
+      by_code.emplace_back(entry);
+    }
+    codes = original.codes(column);
+  }
   std::vector<double> breach(anonymization.row_count(), 0.0);
   for (size_t row = 0; row < anonymization.row_count(); ++row) {
     if (anonymization.suppressed[row]) continue;
@@ -33,8 +45,12 @@ StatusOr<std::vector<double>> PersonalizedPrivacy::BreachProbabilities(
         partition.class_members(partition.ClassOfRow(row));
     size_t guarded = 0;
     for (size_t member : members) {
-      const Value& sensitive = anonymization.original->cell(member, column);
-      if (taxonomy_->Covers(guarding_nodes_[row], sensitive)) ++guarded;
+      const bool covered =
+          codes.empty()
+              ? taxonomy_->Covers(guarding_nodes_[row],
+                                  original.cell(member, column))
+              : taxonomy_->Covers(guarding_nodes_[row], by_code[codes[member]]);
+      if (covered) ++guarded;
     }
     breach[row] =
         static_cast<double>(guarded) / static_cast<double>(members.size());

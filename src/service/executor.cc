@@ -87,6 +87,7 @@ struct Release {
 struct AlgorithmEntry {
   const char* name;
   bool perturbative;
+  bool full_domain;  // Searches a hierarchy lattice: needs hierarchies.
   StatusOr<Release> (*run)(const JobContext& job, Checkpointable* checkpoint);
   std::unique_ptr<Checkpointable> (*new_checkpoint)();
 };
@@ -167,16 +168,17 @@ std::unique_ptr<Checkpointable> NewCheckpoint() {
 }
 
 constexpr AlgorithmEntry kRegistry[] = {
-    {"datafly", false, RunDatafly, nullptr},
-    {"samarati", false, RunSamarati, nullptr},
-    {"optimal", false, RunOptimal, NewCheckpoint<OptimalLatticeCheckpoint>},
-    {"mondrian", false, RunMondrian, nullptr},
-    {"cluster", false, RunCluster, nullptr},
-    {"noise", true, RunPerturb<PerturbMechanism::kNoise>,
+    {"datafly", false, true, RunDatafly, nullptr},
+    {"samarati", false, true, RunSamarati, nullptr},
+    {"optimal", false, true, RunOptimal,
+     NewCheckpoint<OptimalLatticeCheckpoint>},
+    {"mondrian", false, false, RunMondrian, nullptr},
+    {"cluster", false, false, RunCluster, nullptr},
+    {"noise", true, false, RunPerturb<PerturbMechanism::kNoise>,
      NewCheckpoint<PerturbCheckpoint>},
-    {"rankswap", true, RunPerturb<PerturbMechanism::kRankSwap>,
+    {"rankswap", true, false, RunPerturb<PerturbMechanism::kRankSwap>,
      NewCheckpoint<PerturbCheckpoint>},
-    {"microagg", true, RunPerturb<PerturbMechanism::kMicroaggregation>,
+    {"microagg", true, false, RunPerturb<PerturbMechanism::kMicroaggregation>,
      NewCheckpoint<PerturbCheckpoint>},
 };
 
@@ -268,6 +270,50 @@ Status LoadInputs(const ParamMap& params, const std::string& label,
     MDC_ASSIGN_OR_RETURN(std::string spec, ReadFileToString(hierarchies_path));
     MDC_ASSIGN_OR_RETURN(job.hierarchies,
                          ParseHierarchySpec(job.data->schema(), spec));
+  }
+  return Status::Ok();
+}
+
+// Fails a file-backed job that cannot run before its input is read, with
+// the Status its first failing stage would return after the parse: a
+// full-domain search without hierarchies, or a perturbation or
+// permutation compare (`needs_numeric_qi`) without an int or real
+// quasi-identifier. A schema spec that does not parse is left to
+// LoadInputs.
+Status Preflight(const ParamMap& params,
+                 const std::vector<const AlgorithmEntry*>& entries,
+                 bool needs_numeric_qi) {
+  if (GetParam(params, "input").empty() ||
+      !GetParam(params, "dataset").empty()) {
+    return Status::Ok();
+  }
+  StatusOr<Schema> schema = ParseSchemaSpec(GetParam(params, "schema"));
+  if (!schema.ok()) return Status::Ok();
+  if (GetParam(params, "hierarchies").empty()) {
+    for (const AlgorithmEntry* entry : entries) {
+      if (entry->full_domain) {
+        return HierarchySet{}.CoversQuasiIdentifiers(*schema);
+      }
+    }
+  }
+  if (!needs_numeric_qi) return Status::Ok();
+  const std::vector<size_t> qi = schema->QuasiIdentifierIndices();
+  for (size_t column : qi) {
+    if (schema->attribute(column).type != AttributeType::kString) {
+      return Status::Ok();
+    }
+  }
+  // PerturbAnonymize fails first when a mechanism runs first; otherwise a
+  // generalization runs (unless it has no quasi-identifier to work on) and
+  // PermutationModelFor fails on its release.
+  if (entries.front()->perturbative) {
+    return Status::InvalidArgument(
+        "perturbation needs at least one numeric quasi-identifier column");
+  }
+  if (!qi.empty()) {
+    return Status::InvalidArgument(
+        "permutation model needs at least one numeric quasi-identifier "
+        "column");
   }
   return Status::Ok();
 }
@@ -486,6 +532,8 @@ Status Execute(const ServiceCore::ExecRequest& request, int threads,
     }
   }
 
+  MDC_RETURN_IF_ERROR(
+      Preflight(params, entries, kind == "perturb" || permutation));
   MDC_RETURN_IF_ERROR(LoadInputs(params, label, request.cache, job));
   job.derived_ok = job.cache != nullptr &&
                    (job.run == nullptr || !job.run->bounded()) &&

@@ -9,9 +9,11 @@
 // per-row string work. The hot loops of the five lattice searches and of
 // Mondrian all run on this representation.
 //
-// Build is hash-first: one pass assigns each cell its value's first-seen
-// id, then only the D distinct values are sorted and the ids remapped, so
-// a column costs O(N + D log D) rather than a sort of all N cells.
+// Build costs O(N + D log D) per column rather than a sort of all N cells.
+// A string column sorts the dictionary entries its rows use and remaps its
+// codes; a numeric column is hash-first: one pass assigns each cell its
+// value's first-seen id, then only the D distinct values are sorted and
+// the ids remapped.
 
 #ifndef MDC_TABLE_ENCODED_VIEW_H_
 #define MDC_TABLE_ENCODED_VIEW_H_

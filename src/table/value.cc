@@ -1,5 +1,6 @@
 #include "table/value.h"
 
+#include <cmath>
 #include <functional>
 
 #include "common/strings.h"
@@ -60,6 +61,12 @@ StatusOr<Value> Value::Parse(std::string_view text, AttributeType type) {
       if (!v.has_value()) {
         return Status::InvalidArgument("cannot parse real: '" +
                                        std::string(text) + "'");
+      }
+      // Real columns are finite: NaN breaks the order every sort of a
+      // column relies on, and no range label can cover it.
+      if (!std::isfinite(*v)) {
+        return Status::InvalidArgument("cannot parse real: '" +
+                                       std::string(text) + "' (not finite)");
       }
       return Value(*v);
     }

@@ -48,7 +48,7 @@ class Value {
   // Human-readable rendering (ints without decimals, reals compact).
   std::string ToString() const;
 
-  // Parses `text` as a value of `type`.
+  // Parses `text` as a value of `type`; a real must be finite.
   static StatusOr<Value> Parse(std::string_view text, AttributeType type);
 
   // Equality is type-sensitive: Value(1) != Value("1").

@@ -1,7 +1,8 @@
 #include "utility/entropy_loss.h"
 
 #include <cmath>
-#include <unordered_map>
+#include <optional>
+#include <span>
 
 namespace mdc {
 
@@ -29,12 +30,16 @@ StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
     if (total <= 1.0) continue;  // A constant column loses nothing.
     const double denom = std::log2(total);
 
-    std::unordered_map<std::string, double> label_charge;
+    // One charge per label code, computed on the first row that uses it:
+    // a label table may hold labels no row uses.
+    const std::vector<std::string>& labels =
+        anonymization.release.dictionary(column);
+    const std::span<const uint32_t> codes = anonymization.release.codes(column);
+    std::vector<std::optional<double>> label_charge(labels.size());
     for (size_t r = 0; r < rows; ++r) {
-      const std::string& label =
-          anonymization.release.cell(r, column).AsString();
-      auto it = label_charge.find(label);
-      if (it == label_charge.end()) {
+      std::optional<double>& charge = label_charge[codes[r]];
+      if (!charge.has_value()) {
+        const std::string& label = labels[codes[r]];
         size_t covered = 0;
         for (const Value& v : distinct) {
           if (hierarchy->Covers(label, v)) ++covered;
@@ -43,10 +48,9 @@ StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
           return Status::Internal("label '" + label +
                                   "' covers no present value");
         }
-        double charge = std::log2(static_cast<double>(covered)) / denom;
-        it = label_charge.emplace(label, charge).first;
+        charge = std::log2(static_cast<double>(covered)) / denom;
       }
-      loss[r] += it->second / static_cast<double>(qi);
+      loss[r] += *charge / static_cast<double>(qi);
     }
   }
   return PropertyVector("entropy-loss", std::move(loss));

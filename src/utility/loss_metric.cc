@@ -1,9 +1,9 @@
 #include "utility/loss_metric.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 
 namespace mdc {
 namespace {
@@ -53,18 +53,19 @@ StatusOr<PropertyVector> LossMetric::PerTupleLoss(
   const size_t rows = anonymization.row_count();
   std::vector<double> loss(rows, 0.0);
   for (size_t column : anonymization.qi_columns) {
-    // Cache per-label losses; full-domain releases have few labels.
-    std::unordered_map<std::string, double> label_loss;
+    // One charge per label code, computed on the first row that uses it:
+    // a label table may hold labels no row uses.
+    const std::vector<std::string>& labels =
+        anonymization.release.dictionary(column);
+    const std::span<const uint32_t> codes = anonymization.release.codes(column);
+    std::vector<std::optional<double>> label_loss(labels.size());
     for (size_t r = 0; r < rows; ++r) {
-      const std::string& label =
-          anonymization.release.cell(r, column).AsString();
-      auto it = label_loss.find(label);
-      if (it == label_loss.end()) {
-        MDC_ASSIGN_OR_RETURN(double charge,
-                             LabelLoss(anonymization, column, label));
-        it = label_loss.emplace(label, charge).first;
+      std::optional<double>& charge = label_loss[codes[r]];
+      if (!charge.has_value()) {
+        MDC_ASSIGN_OR_RETURN(
+            charge, LabelLoss(anonymization, column, labels[codes[r]]));
       }
-      loss[r] += it->second;
+      loss[r] += *charge;
     }
   }
   return PropertyVector("lm-loss", std::move(loss));
@@ -94,15 +95,21 @@ StatusOr<PropertyVector> ClassSpreadLoss::PerTupleLoss(
     return Status::InvalidArgument("partition arity mismatch");
   }
   std::vector<double> loss(rows, 0.0);
+  std::vector<uint32_t> distinct;  // Scratch: one class's string codes.
 
   for (size_t column : anonymization.qi_columns) {
     const bool is_string =
         schema.attribute(column).type == AttributeType::kString;
     double global_spread = 1.0;
     size_t global_distinct = original.DistinctValues(column).size();
-    if (!is_string) {
+    std::span<const uint32_t> codes;
+    std::vector<double> numbers;
+    if (is_string) {
+      codes = original.codes(column);
+    } else {
       MDC_ASSIGN_OR_RETURN(auto range, original.NumericRange(column));
       global_spread = range.second - range.first;
+      numbers = original.Numbers(column);
     }
 
     for (size_t class_id = 0; class_id < partition.class_count();
@@ -119,21 +126,22 @@ StatusOr<PropertyVector> ClassSpreadLoss::PerTupleLoss(
       if (class_suppressed) {
         charge = 1.0;
       } else if (is_string) {
-        std::map<std::string, bool> distinct;
-        for (size_t row : members) {
-          distinct[original.cell(row, column).AsString()] = true;
-        }
+        // Codes of one dictionary name distinct strings.
+        distinct.clear();
+        for (size_t row : members) distinct.push_back(codes[row]);
+        std::sort(distinct.begin(), distinct.end());
+        const auto count = static_cast<size_t>(
+            std::unique(distinct.begin(), distinct.end()) - distinct.begin());
         charge = global_distinct <= 1
                      ? 0.0
-                     : static_cast<double>(distinct.size() - 1) /
+                     : static_cast<double>(count - 1) /
                            static_cast<double>(global_distinct - 1);
       } else {
-        double lo = original.cell(members[0], column).AsNumber();
+        double lo = numbers[members[0]];
         double hi = lo;
         for (size_t row : members) {
-          double v = original.cell(row, column).AsNumber();
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
+          lo = std::min(lo, numbers[row]);
+          hi = std::max(hi, numbers[row]);
         }
         charge = global_spread <= 0.0 ? 0.0 : (hi - lo) / global_spread;
       }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <span>
 
 namespace mdc {
 namespace {
@@ -19,6 +19,18 @@ double NumericOverlap(double class_lo, double class_hi, double query_lo,
   double hi = std::min(class_hi, query_hi);
   if (hi < lo) return 0.0;
   return (hi - lo) / (class_hi - class_lo);
+}
+
+// The dictionary code of the query's categorical value, or nullopt when
+// the column's dictionary lacks it and no row can match.
+std::optional<uint32_t> CategoricalCode(const Dataset& original,
+                                        const RangeQuery& query) {
+  const std::vector<std::string>& dictionary =
+      original.dictionary(*query.categorical_column);
+  auto it = std::find(dictionary.begin(), dictionary.end(),
+                      query.categorical_value);
+  if (it == dictionary.end()) return std::nullopt;
+  return static_cast<uint32_t>(it - dictionary.begin());
 }
 
 }  // namespace
@@ -69,13 +81,18 @@ StatusOr<QueryWorkload> QueryWorkload::Random(
 }
 
 double TrueCount(const Dataset& original, const RangeQuery& query) {
+  const std::vector<double> values = original.Numbers(query.numeric_column);
+  std::span<const uint32_t> codes;
+  std::optional<uint32_t> wanted;
+  if (query.categorical_column.has_value()) {
+    codes = original.codes(*query.categorical_column);
+    wanted = CategoricalCode(original, query);
+  }
   double count = 0.0;
   for (size_t row = 0; row < original.row_count(); ++row) {
-    double v = original.cell(row, query.numeric_column).AsNumber();
+    double v = values[row];
     if (v < query.lo || v > query.hi) continue;
-    if (query.categorical_column.has_value() &&
-        original.cell(row, *query.categorical_column).AsString() !=
-            query.categorical_value) {
+    if (query.categorical_column.has_value() && codes[row] != wanted) {
       continue;
     }
     count += 1.0;
@@ -90,26 +107,35 @@ StatusOr<double> EstimatedCount(const Anonymization& anonymization,
   if (query.numeric_column >= original.column_count()) {
     return Status::OutOfRange("query column out of range");
   }
+  const std::vector<double> values = original.Numbers(query.numeric_column);
+  std::span<const uint32_t> codes;
+  std::optional<uint32_t> wanted;
+  if (query.categorical_column.has_value()) {
+    codes = original.codes(*query.categorical_column);
+    wanted = CategoricalCode(original, query);
+  }
+  std::vector<uint32_t> distinct;  // Scratch: one class's category codes.
   double estimate = 0.0;
   for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
     ClassSpan members = partition.class_members(class_id);
     // Class envelope on the numeric attribute.
-    double lo = original.cell(members[0], query.numeric_column).AsNumber();
+    double lo = values[members[0]];
     double hi = lo;
     for (size_t row : members) {
-      double v = original.cell(row, query.numeric_column).AsNumber();
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+      lo = std::min(lo, values[row]);
+      hi = std::max(hi, values[row]);
     }
     double fraction = NumericOverlap(lo, hi, query.lo, query.hi);
     if (fraction <= 0.0) continue;
     if (query.categorical_column.has_value()) {
-      std::set<std::string> distinct;
-      for (size_t row : members) {
-        distinct.insert(
-            original.cell(row, *query.categorical_column).AsString());
-      }
-      if (distinct.count(query.categorical_value) == 0) {
+      // Codes of one dictionary name distinct strings.
+      distinct.clear();
+      for (size_t row : members) distinct.push_back(codes[row]);
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      if (!wanted.has_value() ||
+          !std::binary_search(distinct.begin(), distinct.end(), *wanted)) {
         continue;
       }
       fraction /= static_cast<double>(distinct.size());

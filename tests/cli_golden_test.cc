@@ -269,6 +269,33 @@ TEST(CliGoldenTest, BatchRejectsPathEscapingIds) {
   EXPECT_EQ(files, std::vector<std::string>{"jobs.csv"});
 }
 
+TEST(CliGoldenTest, AnonymizeRejectsNonFiniteReals) {
+  // NaN in a real quasi-identifier breaks the order Mondrian's encode
+  // sorts by; the parse rejects it before any algorithm runs.
+  const std::string dir = ScratchDir("nan");
+  std::string csv = "age,diagnosis\n";
+  const char* nans[] = {"nan", "NaN", "-nan"};
+  for (int r = 0; r < 3000; ++r) {
+    csv += (r % 7 == 0 ? std::string(nans[(r / 7) % 3])
+                       : std::to_string(18 + r % 50) + ".5") +
+           ",d" + std::to_string(r % 5) + "\n";
+  }
+  ASSERT_TRUE(WriteStringToFile(dir + "/nan.csv", csv).ok());
+  CliRun run = RunCli("anonymize --input " + dir +
+                      "/nan.csv --schema age:real:qi,diagnosis:string:"
+                      "sensitive --algorithm mondrian --k 5 --output " +
+                      dir + "/release.csv");
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_EQ(run.out, "");
+  EXPECT_EQ(run.err.rfind(
+                "error: invalid_argument: cannot parse real: 'nan' (not "
+                "finite)\n",
+                0),
+            0u)
+      << run.err;
+  EXPECT_FALSE(std::ifstream(dir + "/release.csv").good());
+}
+
 TEST(CliGoldenTest, ServeQuarantinesBadNumericParams) {
   const std::string state = ScratchDir("serve_bad") + "/state";
   testing::CliProcess serve(MDC_CLI_BIN, {"serve", "--state-dir", state});

@@ -159,6 +159,82 @@ TEST(ExecutorTest, UnknownNamesAndKindsKeepTheirErrors) {
   }
 }
 
+// A small file whose quasi-identifiers are all strings.
+std::string StringQiInput() {
+  static const std::string path = [] {
+    std::string file =
+        "/tmp/mdc_executor_test_strings_" + std::to_string(::getpid()) +
+        ".csv";
+    std::string csv = "zip,marital,diagnosis\n";
+    for (int r = 0; r < 40; ++r) {
+      csv += "130" + std::to_string(r % 9) + "," +
+             (r % 3 == 0 ? "Married" : "Single") + ",d" +
+             std::to_string(r % 4) + "\n";
+    }
+    EXPECT_TRUE(DurableWriteFile(file, csv).ok());
+    return file;
+  }();
+  return path;
+}
+
+constexpr const char* kStringSchema =
+    "zip:string:qi,marital:string:qi,diagnosis:string:sensitive";
+
+TEST(ExecutorTest, PreflightFailsBeforeTheInputIsRead) {
+  const std::string perturbation_message =
+      "perturbation needs at least one numeric quasi-identifier column";
+  const std::string model_message =
+      "permutation model needs at least one numeric quasi-identifier column";
+  const std::string hierarchy_message =
+      "quasi-identifier 'a' has no bound hierarchy";
+  struct Case {
+    std::string kind;
+    Params params;
+    std::string input;  // The real file the job's schema describes.
+    StatusCode code;
+    std::string message;
+  };
+  const Case cases[] = {
+      {"compare",
+       {{"algorithms", "mondrian,datafly"}, {"schema", kNumericSchema}},
+       NumericInput(), StatusCode::kFailedPrecondition, hierarchy_message},
+      {"anonymize",
+       {{"algorithm", "samarati"}, {"schema", kNumericSchema}},
+       NumericInput(), StatusCode::kFailedPrecondition, hierarchy_message},
+      {"anonymize",
+       {{"algorithm", "optimal"}, {"schema", kNumericSchema}},
+       NumericInput(), StatusCode::kFailedPrecondition, hierarchy_message},
+      {"compare",
+       {{"algorithms", "mondrian,noise,rankswap"}, {"schema", kStringSchema}},
+       StringQiInput(), StatusCode::kInvalidArgument, model_message},
+      {"compare",
+       {{"algorithms", "noise,mondrian"}, {"schema", kStringSchema}},
+       StringQiInput(), StatusCode::kInvalidArgument, perturbation_message},
+      {"perturb",
+       {{"mechanism", "noise"}, {"schema", kStringSchema}},
+       StringQiInput(), StatusCode::kInvalidArgument, perturbation_message},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind + " " + c.params.begin()->second);
+    for (const std::string& input :
+         {std::string("/nonexistent/mdc_preflight.csv"), c.input}) {
+      Params params = c.params;
+      params["input"] = input;
+      params["k"] = "3";
+      auto result = Exec(Spec(c.kind, params));
+      EXPECT_EQ(result.status.code(), c.code) << result.status.ToString();
+      EXPECT_EQ(result.status.message(), c.message);
+    }
+  }
+  // With hierarchies named, a full-domain job reads its input as before.
+  auto missing = Exec(Spec("anonymize", {{"algorithm", "datafly"},
+                                        {"input", "/nonexistent/x.csv"},
+                                        {"schema", kNumericSchema},
+                                        {"hierarchies", "/nonexistent/h"}}));
+  EXPECT_EQ(missing.status.code(), StatusCode::kNotFound)
+      << missing.status.ToString();
+}
+
 TEST(ExecutorTest, RejectsNumbersOutsideTheirRange) {
   // k must fit in int rather than truncate (4294967299 would run as k=3);
   // max_suppression must be a fraction in [0, 1] (a negative or NaN value

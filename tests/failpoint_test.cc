@@ -270,6 +270,31 @@ TEST(FailpointTest, EverySiteInjectsACleanError) {
   }
 }
 
+TEST(FailpointTest, FromCsvFiresItsSitesInOrder) {
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "library built with MDC_FAILPOINTS=OFF";
+  }
+  const std::string csv = Data()->ToCsv();
+  {
+    failpoint::ScopedFailpoint from_csv("dataset.from_csv",
+                                        Status::Internal("from_csv"));
+    failpoint::ScopedFailpoint parse("csv.parse", Status::Internal("parse"));
+    EXPECT_EQ(Dataset::FromCsv(Data()->schema(), csv).status().message(),
+              "from_csv");
+    EXPECT_EQ(failpoint::HitCount("csv.parse"), 0);
+  }
+  {
+    failpoint::ScopedFailpoint parse("csv.parse", Status::Internal("parse"));
+    EXPECT_EQ(Dataset::FromCsv(Data()->schema(), csv).status().message(),
+              "parse");
+    EXPECT_EQ(failpoint::HitCount("csv.parse"), 1);
+  }
+  // Rows go straight into the columns, not through AppendRow.
+  failpoint::ScopedFailpoint append("dataset.append_row",
+                                    Status::Internal("append"));
+  EXPECT_TRUE(Dataset::FromCsv(Data()->schema(), csv).ok());
+}
+
 TEST(FailpointTest, SkipAndCountArmNthPass) {
   if (!failpoint::Enabled()) {
     GTEST_SKIP() << "library built with MDC_FAILPOINTS=OFF";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "table/dataset.h"
 #include "table/schema.h"
 
@@ -92,7 +94,7 @@ TEST(DatasetTest, ColumnAndDistinct) {
                                 Value("n")})
                     .ok());
   }
-  EXPECT_EQ(data.Column(1).size(), 4u);
+  EXPECT_EQ(data.ints(1).size(), 4u);
   std::vector<Value> distinct = data.DistinctValues(1);
   ASSERT_EQ(distinct.size(), 3u);
   EXPECT_EQ(distinct[0].AsInt(), 20);
@@ -134,6 +136,105 @@ TEST(DatasetTest, CsvRoundTrip) {
   EXPECT_EQ(parsed->row_count(), 1u);
   EXPECT_EQ(parsed->cell(0, 3).AsString(), "has, comma");
   EXPECT_EQ(parsed->cell(0, 1).AsInt(), 28);
+}
+
+TEST(DatasetTest, FromCsvRejectsNonFiniteReals) {
+  Schema schema = Schema::Create({{"x", AttributeType::kReal,
+                                   AttributeRole::kQuasiIdentifier}})
+                      .value();
+  for (const char* text : {"nan", "-nan", "NaN", "inf", "-inf", "infinity"}) {
+    SCOPED_TRACE(text);
+    auto parsed = Dataset::FromCsv(schema, "x\n1.5\n" + std::string(text) +
+                                               "\n");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "cannot parse real: '" + std::string(text) + "' (not finite)");
+  }
+  // AppendRow keeps accepting any double.
+  Dataset data(schema);
+  EXPECT_TRUE(data.AppendRow({Value(std::nan(""))}).ok());
+}
+
+TEST(DatasetTest, TypedColumnsAndInterning) {
+  Dataset data(TestSchema());
+  for (const char* disease : {"Flu", "Cold", "Flu"}) {
+    ASSERT_TRUE(data.AppendRow({Value("1305"), Value(int64_t{40}),
+                                Value(disease), Value("n")})
+                    .ok());
+  }
+  // Each string is held once; codes name it.
+  EXPECT_EQ(data.dictionary(2), (std::vector<std::string>{"Flu", "Cold"}));
+  EXPECT_EQ(std::vector<uint32_t>(data.codes(2).begin(), data.codes(2).end()),
+            (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_EQ(data.ints(1).size(), 3u);
+  EXPECT_EQ(data.Numbers(1), (std::vector<double>{40.0, 40.0, 40.0}));
+  // set_cell interns a new string and re-uses a known one.
+  data.set_cell(1, 2, Value("Flu"));
+  EXPECT_EQ(data.dictionary(2).size(), 2u);
+  data.set_cell(1, 2, Value("HIV"));
+  EXPECT_EQ(data.dictionary(2).size(), 3u);
+  EXPECT_EQ(data.cell(1, 2).AsString(), "HIV");
+  // Cold is orphaned: the dictionary keeps it, DistinctValues does not.
+  EXPECT_EQ(data.DistinctValues(2),
+            (std::vector<Value>{Value("Flu"), Value("HIV")}));
+  EXPECT_EQ(data.row(2)[2].AsString(), "Flu");
+}
+
+TEST(DatasetTest, FromColumnsValidates) {
+  auto strings = [](std::vector<uint32_t> codes,
+                    std::vector<std::string> dictionary) {
+    Dataset::Column column;
+    column.codes = std::move(codes);
+    column.dictionary = std::move(dictionary);
+    return column;
+  };
+  Dataset::Column ages;
+  ages.ints = {28, 41};
+  auto good = Dataset::FromColumns(
+      TestSchema(), {strings({0, 0}, {"13053"}), ages,
+                     strings({1, 0}, {"Flu", "Cold", "*"}),
+                     strings({0, 0}, {""})});
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->row_count(), 2u);
+  EXPECT_EQ(good->cell(0, 2).AsString(), "Cold");
+  EXPECT_EQ(good->ToCsv(), "zip,age,disease,note\n13053,28,Cold,\n"
+                           "13053,41,Flu,\n");
+  // Appending after a column build re-uses the indexed dictionary.
+  ASSERT_TRUE(good->AppendRow({Value("13053"), Value(int64_t{5}),
+                               Value("*"), Value("")})
+                  .ok());
+  EXPECT_EQ(good->dictionary(2).size(), 3u);
+
+  struct Case {
+    std::vector<Dataset::Column> columns;
+    StatusCode code;
+    std::string message;
+  };
+  Dataset::Column reals;
+  reals.reals = {1.0, 2.0};
+  Dataset::Column short_ages;
+  short_ages.ints = {28};
+  const Case cases[] = {
+      {{ages}, StatusCode::kInvalidArgument, "column count 1 != schema arity 4"},
+      {{strings({0, 0}, {"a"}), reals, strings({0, 0}, {"a"}),
+        strings({0, 0}, {"a"})},
+       StatusCode::kInvalidArgument,
+       "column 'age' holds arrays of another type than int"},
+      {{strings({0, 0}, {"a"}), short_ages, strings({0, 0}, {"a"}),
+        strings({0, 0}, {"a"})},
+       StatusCode::kInvalidArgument, "column 'age' has 1 rows, expected 2"},
+      {{strings({0, 2}, {"a", "b"}), ages, strings({0, 0}, {"a"}),
+        strings({0, 0}, {"a"})},
+       StatusCode::kOutOfRange, "column 'zip' has a code beyond its dictionary"},
+      {{strings({0, 0}, {"a", "a"}), ages, strings({0, 0}, {"a"}),
+        strings({0, 0}, {"a"})},
+       StatusCode::kInvalidArgument, "column 'zip' repeats a dictionary entry"},
+  };
+  for (const Case& c : cases) {
+    auto built = Dataset::FromColumns(TestSchema(), c.columns);
+    EXPECT_EQ(built.status().code(), c.code) << built.status().ToString();
+    EXPECT_EQ(built.status().message(), c.message);
+  }
 }
 
 TEST(DatasetTest, FromCsvValidatesHeader) {
