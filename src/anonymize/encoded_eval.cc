@@ -186,6 +186,20 @@ StatusOr<NodeEvaluation> EncodedNodeEvaluator::Materialize(
   return out;
 }
 
+StatusOr<NodeEvaluation> EncodedNodeEvaluator::Release(
+    const LatticeNode& node, int k, const SuppressionBudget& budget,
+    std::string algorithm) const {
+  MDC_ASSIGN_OR_RETURN(Evaluation evaluation, Evaluate(node, k, budget));
+  if (!evaluation.feasible) {
+    return Status::FailedPrecondition(
+        algorithm + ": node " + Lattice::ToString(node) + " is not " +
+        std::to_string(k) +
+        "-anonymous within the suppression budget; the checkpoint does not "
+        "match this data or k");
+  }
+  return Materialize(node, evaluation, std::move(algorithm));
+}
+
 StatusOr<EncodedNodeEvaluator::Candidate>
 EncodedNodeEvaluator::MaterializeUnsuppressed(const LatticeNode& node,
                                               std::string algorithm) const {
@@ -201,18 +215,6 @@ EncodedNodeEvaluator::MaterializeUnsuppressed(const LatticeNode& node,
                        Materialize(node, raw, std::move(algorithm)));
   return Candidate{std::move(materialized.anonymization),
                    std::move(materialized.partition)};
-}
-
-std::vector<std::optional<StatusOr<EncodedNodeEvaluator::Evaluation>>>
-EvaluateBatch(const EncodedNodeEvaluator& evaluator,
-              const std::vector<LatticeNode>& nodes, int k,
-              const SuppressionBudget& budget, ThreadPool& pool) {
-  std::vector<std::optional<StatusOr<EncodedNodeEvaluator::Evaluation>>>
-      results(nodes.size());
-  pool.ParallelFor(nodes.size(), [&](size_t i) {
-    results[i].emplace(evaluator.Evaluate(nodes[i], k, budget, nullptr));
-  });
-  return results;
 }
 
 }  // namespace mdc

@@ -27,21 +27,19 @@
 // instead of from the first node evaluation that touches the bad level.
 // The Status itself is the same one the reference would return.
 //
-// EvaluateBatch() fans one wave of nodes out over a ThreadPool. Workers
-// run with run = nullptr — the caller charges RunContext in deterministic
-// node order *before* dispatch, so a step budget expires at exactly the
-// same node index for any thread count (see the searches' wave loops).
+// The searches' sweeps evaluate nodes on pool workers with run = nullptr
+// through the wave driver (common/waves.h), which charges RunContext in
+// deterministic node order before dispatch. Release() is the one
+// finishing path for the node a search returns.
 
 #ifndef MDC_ANONYMIZE_ENCODED_EVAL_H_
 #define MDC_ANONYMIZE_ENCODED_EVAL_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "anonymize/full_domain.h"
-#include "common/thread_pool.h"
 #include "hierarchy/level_codec.h"
 #include "table/encoded_view.h"
 
@@ -109,6 +107,15 @@ class EncodedNodeEvaluator {
                                        const Evaluation& evaluation,
                                        std::string algorithm) const;
 
+  // The release of the node a search returns: Evaluate (unbudgeted), then
+  // Materialize. Fails with FailedPrecondition when the node is not
+  // feasible under (k, budget). A fresh search only returns nodes it found
+  // feasible, so only state resumed from a checkpoint taken under other
+  // data or another k gets there.
+  StatusOr<NodeEvaluation> Release(const LatticeNode& node, int k,
+                                   const SuppressionBudget& budget,
+                                   std::string algorithm) const;
+
   // Release + raw partition with no suppression policy applied.
   StatusOr<Candidate> MaterializeUnsuppressed(const LatticeNode& node,
                                               std::string algorithm) const;
@@ -136,23 +143,6 @@ class EncodedNodeEvaluator {
   Schema release_schema_;
   std::shared_ptr<const EncodedBundle> bundle_;
 };
-
-// Nodes a search admits per wave: one at one thread, so admission,
-// evaluation and commit interleave node by node; four per thread otherwise.
-inline size_t WaveSize(const ThreadPool& pool) {
-  return pool.thread_count() <= 1
-             ? 1
-             : static_cast<size_t>(pool.thread_count()) * 4;
-}
-
-// Evaluates `nodes` concurrently over `pool`, each with run = nullptr.
-// results[i] corresponds to nodes[i]; a slot is only unset if the closure
-// never ran (it always does). Callers charge budgets deterministically
-// before calling and commit results in index order afterwards.
-std::vector<std::optional<StatusOr<EncodedNodeEvaluator::Evaluation>>>
-EvaluateBatch(const EncodedNodeEvaluator& evaluator,
-              const std::vector<LatticeNode>& nodes, int k,
-              const SuppressionBudget& budget, ThreadPool& pool);
 
 }  // namespace mdc
 

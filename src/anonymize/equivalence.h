@@ -143,8 +143,8 @@ class EquivalencePartition {
   static EquivalencePartition FromAnonymization(
       const Anonymization& anonymization);
 
-  // Groups the rows of `dataset` by the given columns (used internally and
-  // by Datafly's frequency loop before a release exists).
+  // Groups the rows of `dataset` by the given columns (FromAnonymization's
+  // string-keyed grouping).
   static EquivalencePartition FromColumns(const Dataset& dataset,
                                           const std::vector<size_t>& columns);
 

@@ -10,8 +10,8 @@
 #include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "common/waves.h"
 
 namespace mdc {
 namespace {
@@ -57,6 +57,12 @@ bool ProjectionFeasible(const EncodedNodeEvaluator& evaluator,
   return undersized <= max_suppressed;
 }
 
+int Height(const std::vector<int>& node) {
+  int height = 0;
+  for (int level : node) height += level;
+  return height;
+}
+
 // Enumerates the nodes of the sub-lattice spanned by `subset`, by height.
 void EnumerateSubLattice(const std::vector<int>& max_levels,
                          std::vector<std::vector<int>>& out) {
@@ -74,11 +80,7 @@ void EnumerateSubLattice(const std::vector<int>& max_levels,
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const std::vector<int>& a, const std::vector<int>& b) {
-                     int ha = 0;
-                     int hb = 0;
-                     for (int v : a) ha += v;
-                     for (int v : b) hb += v;
-                     return ha < hb;
+                     return Height(a) < Height(b);
                    });
 }
 
@@ -197,18 +199,16 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
   }
 
   bool truncated = false;
-  Status budget_status = Status::Ok();
-  for (size_t subset_idx = start_subset; subset_idx < subsets.size();
-       ++subset_idx) {
-    if (!budget_status.ok()) break;
+  for (size_t subset_idx = start_subset;
+       subset_idx < subsets.size() && !truncated; ++subset_idx) {
     const std::vector<size_t>& subset = subsets[subset_idx];
     std::vector<int> max_levels;
     for (size_t pos : subset) max_levels.push_back(all_max[pos]);
     std::vector<std::vector<int>> nodes;
     EnumerateSubLattice(max_levels, nodes);
 
-    size_t first_node = subset_idx == start_subset ? start_node : 0;
-    if (first_node > nodes.size()) {
+    size_t node_idx = subset_idx == start_subset ? start_node : 0;
+    if (node_idx > nodes.size()) {
       return Status::InvalidArgument("incognito checkpoint: node index out of range");
     }
     std::set<std::vector<int>>& sat = satisfying[subset];
@@ -240,10 +240,49 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
       }
       return false;
     };
-    // Budget expiry at `node_idx`: capture the position, then degrade to
-    // whatever the full-QI subset has accumulated so far — it is sound
-    // (every node passed the frequency check) — or report the error.
-    auto handle_budget = [&](size_t node_idx, const Status& status) {
+    // Admission replays the budget + failpoint sequence per node in sweep
+    // order and resolves both prunes; only the frequency checks run on
+    // the pool.
+    auto admit = [&](size_t i) -> StatusOr<WaveAdmit> {
+      MDC_RETURN_IF_ERROR(RunContext::Check(run));
+      MDC_RETURN_IF_ERROR(MDC_FAILPOINT_STATUS("incognito.node"));
+      if (subset_pruned(nodes[i])) {
+        MDC_METRIC_INC("search.incognito.subset_pruned");
+        return WaveAdmit::kSkip;
+      }
+      if (implied_by_predecessor(nodes[i])) {
+        MDC_METRIC_INC("search.incognito.implied_pruned");
+        sat.insert(nodes[i]);
+        return WaveAdmit::kSkip;
+      }
+      return WaveAdmit::kRun;
+    };
+    auto check = [&](size_t i) {
+      return ProjectionFeasible(evaluator, subset, nodes[i], config.k,
+                                max_suppressed);
+    };
+    auto commit = [&](size_t i, bool feasible) -> Status {
+      ++result.frequency_evaluations;
+      MDC_METRIC_INC("search.incognito.frequency_checks");
+      if (feasible) sat.insert(nodes[i]);
+      return Status::Ok();
+    };
+
+    // One driver call per sub-lattice height: both prunings only consult
+    // smaller subsets (complete) or nodes one height down.
+    while (node_idx < nodes.size()) {
+      const int height = Height(nodes[node_idx]);
+      size_t height_end = node_idx;
+      while (height_end < nodes.size() && Height(nodes[height_end]) == height) {
+        ++height_end;
+      }
+      Status status =
+          RunWaves(pool, node_idx, height_end, admit, check, commit);
+      if (status.ok()) continue;
+      // A budget error captures the position, then degrades to whatever
+      // the full-QI subset has accumulated so far — it is sound (every
+      // node passed the frequency check) — or reports the error.
+      if (!status.IsBudgetError()) return status;
       if (checkpoint != nullptr) {
         checkpoint->next_subset = subset_idx;
         checkpoint->next_node = node_idx;
@@ -251,72 +290,9 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
         checkpoint->satisfying = satisfying;
         checkpoint->captured = true;
       }
-      if (satisfying[full].empty()) return false;
-      budget_status = status;
+      if (satisfying[full].empty()) return status;
       truncated = true;
-      return true;
-    };
-
-    // Wave sweep of the sub-lattice. Both prunings only consult smaller
-    // subsets (complete) or nodes one height down, so nodes of one height
-    // are independent: a wave admits nodes of a single height — replaying
-    // the budget + failpoint sequence per node in sweep order, resolving
-    // prunes inline — then runs the frequency checks concurrently and
-    // commits verdicts in sweep order.
-    auto height_of = [](const std::vector<int>& node) {
-      int h = 0;
-      for (int v : node) h += v;
-      return h;
-    };
-    const size_t wave = WaveSize(pool);
-    size_t node_idx = first_node;
-    while (node_idx < nodes.size() && budget_status.ok()) {
-      const int height = height_of(nodes[node_idx]);
-      Status admit_error;  // Budget/failpoint error, at `node_idx`.
-      bool admit_error_is_budget = false;
-      std::vector<size_t> batch;  // Indices into `nodes`.
-      while (node_idx < nodes.size() && batch.size() < wave &&
-             height_of(nodes[node_idx]) == height) {
-        const std::vector<int>& node = nodes[node_idx];
-        admit_error = RunContext::Check(run);
-        if (!admit_error.ok()) {
-          admit_error_is_budget = true;
-          break;
-        }
-        admit_error = MDC_FAILPOINT_STATUS("incognito.node");
-        if (!admit_error.ok()) break;
-        if (subset_pruned(node)) {
-          MDC_METRIC_INC("search.incognito.subset_pruned");
-          ++node_idx;
-          continue;
-        }
-        if (implied_by_predecessor(node)) {
-          MDC_METRIC_INC("search.incognito.implied_pruned");
-          sat.insert(node);
-          ++node_idx;
-          continue;
-        }
-        batch.push_back(node_idx);
-        ++node_idx;
-      }
-      std::vector<char> feasible(batch.size(), 0);
-      pool.ParallelFor(batch.size(), [&](size_t j) {
-        feasible[j] = ProjectionFeasible(evaluator, subset, nodes[batch[j]],
-                                         config.k, max_suppressed)
-                          ? 1
-                          : 0;
-      });
-      for (size_t j = 0; j < batch.size(); ++j) {
-        ++result.frequency_evaluations;
-        MDC_METRIC_INC("search.incognito.frequency_checks");
-        if (feasible[j] != 0) sat.insert(nodes[batch[j]]);
-      }
-      if (!admit_error.ok()) {
-        // A budget error degrades to the sound partial result; an
-        // injected failpoint error propagates as-is.
-        if (!admit_error_is_budget) return admit_error;
-        if (!handle_budget(node_idx, admit_error)) return admit_error;
-      }
+      break;
     }
   }
 
@@ -343,19 +319,11 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
 
   bool have_best = false;
   for (const LatticeNode& node : result.minimal_nodes) {
+    // A fresh search's frequency checks and the full evaluation agree, so
+    // only verdicts resumed from another run's checkpoint fail the guard.
     MDC_ASSIGN_OR_RETURN(
-        EncodedNodeEvaluator::Evaluation evaluation,
-        evaluator.Evaluate(node, config.k, config.suppression));
-    if (!evaluation.feasible) {
-      // A fresh search's frequency checks and the full evaluation agree,
-      // so only verdicts resumed from another run's checkpoint get here.
-      return Status::FailedPrecondition(
-          "Incognito: satisfying node " + Lattice::ToString(node) +
-          " fails full evaluation; the checkpoint does not match this data "
-          "or k");
-    }
-    MDC_ASSIGN_OR_RETURN(NodeEvaluation released,
-                         evaluator.Materialize(node, evaluation, "incognito"));
+        NodeEvaluation released,
+        evaluator.Release(node, config.k, config.suppression, "incognito"));
     double node_loss = loss(released.anonymization, released.partition);
     if (!have_best || node_loss < result.best_loss) {
       result.best_loss = node_loss;

@@ -1,13 +1,12 @@
 #include "anonymize/optimal_lattice.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "common/waves.h"
 
 namespace mdc {
 namespace {
@@ -85,7 +84,7 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
   RunContext::ChargeMemory(run, satisfying.size() * sizeof(char));
 
   const std::vector<LatticeNode> all_nodes = lattice.AllNodesByHeight();
-  size_t start_index = 0;
+  size_t position = 0;  // Next node to admit; the checkpoint's on resume.
   if (checkpoint != nullptr && checkpoint->captured) {
     if (checkpoint->satisfying.size() != satisfying.size() ||
         checkpoint->next_index > all_nodes.size()) {
@@ -94,7 +93,7 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     }
     std::copy(checkpoint->satisfying.begin(), checkpoint->satisfying.end(),
               satisfying.begin());
-    start_index = static_cast<size_t>(checkpoint->next_index);
+    position = static_cast<size_t>(checkpoint->next_index);
     result.minimal_nodes = checkpoint->minimal_nodes;
     result.nodes_evaluated = static_cast<size_t>(checkpoint->nodes_evaluated);
     if (!result.minimal_nodes.empty()) {
@@ -102,12 +101,9 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
       // this reproduces exactly what the interrupted run held in memory.
       result.best_node = checkpoint->best_node;
       result.best_loss = checkpoint->best_loss;
-      MDC_ASSIGN_OR_RETURN(
-          EncodedNodeEvaluator::Evaluation best,
-          evaluator.Evaluate(result.best_node, config.k, config.suppression));
-      MDC_ASSIGN_OR_RETURN(
-          result.best,
-          evaluator.Materialize(result.best_node, best, "optimal"));
+      MDC_ASSIGN_OR_RETURN(result.best,
+                           evaluator.Release(result.best_node, config.k,
+                                             config.suppression, "optimal"));
     }
   }
 
@@ -124,22 +120,43 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     checkpoint->captured = true;
   };
 
-  // Commits one evaluated node in deterministic sweep order: feasible nodes
-  // are materialized (release + loss) and recorded as minimal.
-  auto commit = [&](const LatticeNode& node, size_t index,
-                    const EncodedNodeEvaluator::Evaluation& evaluation)
+  // Admits one node in sweep order: a node with a satisfying predecessor
+  // is implied (monotonicity) and skipped; the rest replay the failpoint +
+  // budget sequence before dispatch.
+  auto admit = [&](size_t i) -> StatusOr<WaveAdmit> {
+    const LatticeNode& node = all_nodes[i];
+    for (const LatticeNode& pred : lattice.Predecessors(node)) {
+      if (satisfying[lattice.IndexOf(pred)] != 0) {
+        satisfying[lattice.IndexOf(node)] = 1;
+        MDC_METRIC_INC("search.optimal.implied_pruned");
+        return WaveAdmit::kSkip;
+      }
+    }
+    MDC_RETURN_IF_ERROR(MDC_FAILPOINT_STATUS("optimal.node"));
+    MDC_RETURN_IF_ERROR(RunContext::Check(run));
+    return WaveAdmit::kRun;
+  };
+  auto evaluate = [&](size_t i) {
+    return evaluator.Evaluate(all_nodes[i], config.k, config.suppression);
+  };
+  // Commits one evaluated node in sweep order: feasible nodes are
+  // materialized (release + loss) and recorded as minimal.
+  auto commit = [&](size_t i,
+                    StatusOr<EncodedNodeEvaluator::Evaluation>& evaluation)
       -> Status {
+    if (!evaluation.ok()) return evaluation.status();
     ++result.nodes_evaluated;
     MDC_METRIC_INC("search.optimal.nodes_evaluated");
-    if (!evaluation.feasible) return Status::Ok();
+    if (!evaluation->feasible) return Status::Ok();
+    const LatticeNode& node = all_nodes[i];
     MDC_ASSIGN_OR_RETURN(NodeEvaluation full,
-                         evaluator.Materialize(node, evaluation, "optimal"));
+                         evaluator.Materialize(node, *evaluation, "optimal"));
     if (config.extra_predicate &&
         !config.extra_predicate(full.anonymization, full.partition)) {
       return Status::Ok();
     }
     MDC_METRIC_INC("search.optimal.satisfying_nodes");
-    satisfying[index] = 1;
+    satisfying[lattice.IndexOf(node)] = 1;
     result.minimal_nodes.push_back(node);
     double node_loss = loss(full.anonymization, full.partition);
     if (result.minimal_nodes.size() == 1 || node_loss < result.best_loss) {
@@ -150,78 +167,30 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     return Status::Ok();
   };
 
+  // One driver call per lattice height: pruning consults only the height
+  // below, so nodes of one height are independent, but admission must not
+  // run ahead of the previous height's commits.
   bool truncated = false;
-  // Wave sweep. Monotonicity pruning only consults nodes one height below,
-  // so nodes of one height are independent: a wave admits nodes of a
-  // single height, replaying the failpoint + budget sequence per node in
-  // sweep order BEFORE dispatch (a step budget expires at exactly the same
-  // node for any thread count), then evaluates the wave concurrently and
-  // commits results in sweep order.
-  const size_t wave = WaveSize(pool);
-  size_t node_index = start_index;
-  while (node_index < all_nodes.size() && !truncated) {
-    const int height = lattice.Height(all_nodes[node_index]);
-    Status admit_error;  // First failpoint/budget error, at `node_index`.
-    std::vector<LatticeNode> batch;
-    std::vector<size_t> batch_lattice_index;
-    std::vector<size_t> batch_sweep_index;
-    while (node_index < all_nodes.size() && batch.size() < wave &&
-           lattice.Height(all_nodes[node_index]) == height) {
-      const LatticeNode& node = all_nodes[node_index];
-      size_t index = lattice.IndexOf(node);
-      bool implied = false;
-      for (const LatticeNode& pred : lattice.Predecessors(node)) {
-        if (satisfying[lattice.IndexOf(pred)] != 0) {
-          implied = true;
-          break;
-        }
-      }
-      if (implied) {
-        satisfying[index] = 1;
-        MDC_METRIC_INC("search.optimal.implied_pruned");
-        ++node_index;
-        continue;
-      }
-      admit_error = MDC_FAILPOINT_STATUS("optimal.node");
-      if (admit_error.ok()) admit_error = RunContext::Check(run);
-      if (!admit_error.ok()) break;
-      batch.push_back(node);
-      batch_lattice_index.push_back(index);
-      batch_sweep_index.push_back(node_index);
-      ++node_index;
+  while (position < all_nodes.size()) {
+    const int height = lattice.Height(all_nodes[position]);
+    size_t height_end = position;
+    while (height_end < all_nodes.size() &&
+           lattice.Height(all_nodes[height_end]) == height) {
+      ++height_end;
     }
-    auto results =
-        EvaluateBatch(evaluator, batch, config.k, config.suppression, pool);
-    for (size_t j = 0; j < batch.size() && !truncated; ++j) {
-      StatusOr<EncodedNodeEvaluator::Evaluation>& eval_or = *results[j];
-      if (!eval_or.ok()) {
-        // Workers run without `run`, but injected faults may still carry
-        // a budget code; degrade as for an admission budget error.
-        if (eval_or.status().IsBudgetError()) {
-          capture(batch_sweep_index[j]);
-          if (!result.minimal_nodes.empty()) {
-            truncated = true;
-            continue;
-          }
-        }
-        return eval_or.status();
+    Status status =
+        RunWaves(pool, position, height_end, admit, evaluate, commit);
+    if (status.ok()) continue;
+    if (status.IsBudgetError()) {
+      capture(position);
+      // Degrade to the minimal nodes already found; each is sound. With
+      // nothing found yet, the budget error propagates.
+      if (!result.minimal_nodes.empty()) {
+        truncated = true;
+        break;
       }
-      MDC_RETURN_IF_ERROR(commit(batch[j], batch_lattice_index[j],
-                                 std::move(eval_or).value()));
     }
-    if (truncated) break;
-    if (!admit_error.ok()) {
-      if (admit_error.IsBudgetError()) {
-        capture(node_index);
-        // Degrade to the minimal nodes already found; each is sound. With
-        // nothing found yet, the budget error propagates.
-        if (!result.minimal_nodes.empty()) {
-          truncated = true;
-          break;
-        }
-      }
-      return admit_error;
-    }
+    return status;
   }
 
   if (result.minimal_nodes.empty()) {

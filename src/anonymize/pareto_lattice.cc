@@ -1,12 +1,10 @@
 #include "anonymize/pareto_lattice.h"
 
-#include <optional>
-
 #include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "common/waves.h"
 #include "core/pareto.h"
 #include "core/properties.h"
 #include "utility/loss_metric.h"
@@ -131,72 +129,51 @@ StatusOr<ParetoLatticeResult> ParetoLatticeSearch(
   result.lattice_size = lattice.NodeCount();
 
   const std::vector<LatticeNode> all_nodes = lattice.AllNodesByHeight();
-  size_t start_index = 0;
+  size_t position = 0;  // Next node to admit; the checkpoint's on resume.
   if (checkpoint != nullptr && checkpoint->captured) {
     if (checkpoint->next_index > all_nodes.size() ||
         checkpoint->candidates.size() > checkpoint->next_index) {
       return Status::InvalidArgument(
           "pareto checkpoint: does not match this lattice");
     }
-    start_index = static_cast<size_t>(checkpoint->next_index);
+    position = static_cast<size_t>(checkpoint->next_index);
     result.candidates = checkpoint->candidates;
   }
 
-  // Budget expiry at `node_index`: capture the position, then degrade to
-  // the candidates evaluated so far (the fronts over a prefix are exact
-  // for that prefix) — or report the error if nothing was evaluated.
-  auto handle_budget = [&](size_t node_index) {
+  // Candidates are independent, so one driver call covers the sweep.
+  // Admission replays the budget + failpoint sequence and the
+  // per-candidate memory charge per node before dispatch, so a step or
+  // memory budget expires at the same node for any thread count.
+  // Candidates retain two n-entry property vectors each; the charge
+  // accounts for them so a memory budget can stop an oversized sweep.
+  Status status = RunWaves(
+      pool, position, all_nodes.size(),
+      [&](size_t) -> StatusOr<WaveAdmit> {
+        MDC_RETURN_IF_ERROR(RunContext::Check(run));
+        MDC_RETURN_IF_ERROR(MDC_FAILPOINT_STATUS("pareto.node"));
+        RunContext::ChargeMemory(run,
+                                 2 * original->row_count() * sizeof(double));
+        return WaveAdmit::kRun;
+      },
+      [&](size_t i) { return BuildCandidate(evaluator, all_nodes[i]); },
+      [&](size_t, StatusOr<ParetoCandidate>& candidate) -> Status {
+        if (!candidate.ok()) return candidate.status();
+        MDC_METRIC_INC("search.pareto.candidates");
+        result.candidates.push_back(std::move(candidate).value());
+        return Status::Ok();
+      });
+  // A budget error captures the position, then degrades to the candidates
+  // evaluated so far (the fronts over a prefix are exact for that prefix)
+  // — or is reported if nothing was evaluated.
+  const bool truncated = !status.ok();
+  if (truncated) {
+    if (!status.IsBudgetError()) return status;
     if (checkpoint != nullptr) {
-      checkpoint->next_index = node_index;
+      checkpoint->next_index = position;
       checkpoint->candidates = result.candidates;
       checkpoint->captured = true;
     }
-    return !result.candidates.empty();
-  };
-
-  bool truncated = false;
-  // Wave sweep: candidates are independent, so a wave admits nodes in
-  // sweep order — replaying the budget + failpoint sequence and the
-  // per-candidate memory charge per node BEFORE dispatch (so a step or
-  // memory budget expires at exactly the same node for any thread count) —
-  // evaluates them concurrently and commits in sweep order. Candidates
-  // retain two n-entry property vectors each; the charge accounts for them
-  // so a memory budget can stop an oversized sweep.
-  const size_t wave = WaveSize(pool);
-  size_t node_index = start_index;
-  while (node_index < all_nodes.size() && !truncated) {
-    Status admit_error;  // Budget/failpoint error, at `node_index`.
-    bool admit_error_is_budget = false;
-    std::vector<LatticeNode> batch;
-    while (node_index < all_nodes.size() && batch.size() < wave) {
-      admit_error = RunContext::Check(run);
-      if (!admit_error.ok()) {
-        admit_error_is_budget = true;
-        break;
-      }
-      admit_error = MDC_FAILPOINT_STATUS("pareto.node");
-      if (!admit_error.ok()) break;
-      RunContext::ChargeMemory(run,
-                               2 * original->row_count() * sizeof(double));
-      batch.push_back(all_nodes[node_index]);
-      ++node_index;
-    }
-    std::vector<std::optional<StatusOr<ParetoCandidate>>> built(
-        batch.size());
-    pool.ParallelFor(batch.size(), [&](size_t j) {
-      built[j].emplace(BuildCandidate(evaluator, batch[j]));
-    });
-    for (size_t j = 0; j < batch.size(); ++j) {
-      StatusOr<ParetoCandidate>& candidate_or = *built[j];
-      if (!candidate_or.ok()) return candidate_or.status();
-      MDC_METRIC_INC("search.pareto.candidates");
-      result.candidates.push_back(std::move(candidate_or).value());
-    }
-    if (!admit_error.ok()) {
-      if (!admit_error_is_budget) return admit_error;
-      if (!handle_budget(node_index)) return admit_error;
-      truncated = true;
-    }
+    if (result.candidates.empty()) return status;
   }
 
   std::vector<PropertySet> property_sets;

@@ -1,7 +1,6 @@
 // Perturbation driver: config validation and parsing, the checkpoint
-// codec, and the wave-parallel per-column sweep (serial admission, wave
-// evaluation, in-order commit — see the determinism contract in
-// perturb.h).
+// codec, and the per-column sweep on the wave driver (common/waves.h; see
+// the determinism contract in perturb.h).
 
 #include "anonymize/perturb/perturb.h"
 
@@ -11,7 +10,7 @@
 #include "common/metrics.h"
 #include "common/snapshot.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
+#include "common/waves.h"
 
 namespace mdc {
 namespace {
@@ -237,35 +236,27 @@ StatusOr<PerturbResult> PerturbAnonymize(
     }
   }
 
+  // Admission charges `rows` steps per column, in column order, so a
+  // budget expires at the same column for every thread count; commits
+  // advance the deterministic perturb.* counters in column order.
   ThreadPool pool(ThreadPool::ResolveThreadCount(config.threads));
-  const size_t wave_size = static_cast<size_t>(pool.thread_count());
   size_t next = start;
-  Status admit = Status::Ok();
-  while (next < columns.size()) {
-    // Serial admission: one RunContext charge of `rows` steps per column,
-    // in column order, so a budget expires at the same column for every
-    // thread count.
-    const size_t begin = next;
-    while (next < columns.size() && next - begin < wave_size) {
-      admit = RunContext::Check(run, rows);
-      if (!admit.ok()) break;
-      ++next;
-    }
-    const size_t count = next - begin;
-    if (count == 0) break;
-    pool.ParallelFor(count, [&](size_t s) {
-      const size_t c = begin + s;
-      released[c] = RunMechanism(config, original->Numbers(columns[c]), c);
-    });
-    // In-order commit: the deterministic perturb.* counters advance in
-    // column order regardless of evaluation schedule.
-    for (size_t s = 0; s < count; ++s) {
-      MDC_METRIC_INC("perturb.columns_committed");
-      MDC_METRIC_ADD("perturb.cells_perturbed", rows);
-    }
-    if (!admit.ok()) break;
-  }
-  if (!admit.ok()) {
+  Status status = RunWaves(
+      pool, next, columns.size(),
+      [&](size_t) -> StatusOr<WaveAdmit> {
+        MDC_RETURN_IF_ERROR(RunContext::Check(run, rows));
+        return WaveAdmit::kRun;
+      },
+      [&](size_t c) {
+        return RunMechanism(config, original->Numbers(columns[c]), c);
+      },
+      [&](size_t c, std::vector<double>& values) -> Status {
+        released[c] = std::move(values);
+        MDC_METRIC_INC("perturb.columns_committed");
+        MDC_METRIC_ADD("perturb.cells_perturbed", rows);
+        return Status::Ok();
+      });
+  if (!status.ok()) {
     if (checkpoint != nullptr) {
       checkpoint->config_hash = fingerprint;
       checkpoint->rows = rows;
@@ -279,7 +270,7 @@ StatusOr<PerturbResult> PerturbAnonymize(
       }
       checkpoint->captured = true;
     }
-    return admit;
+    return status;
   }
 
   // Release schema: perturbed columns become kReal (noise offsets and

@@ -21,9 +21,8 @@
 // (config.seed, column index), so results, `perturb.*` counters, and
 // checkpoint bytes are byte-identical for any thread count. Columns are
 // admitted serially (charging RunContext steps in column order), evaluated
-// wave-parallel into per-column slots, and committed in admission order —
-// the same wave protocol as the lattice searches and the packed comparison
-// engine.
+// wave-parallel into per-column slots, and committed in admission order by
+// the wave driver the lattice searches run on (common/waves.h).
 //
 // Budget expiry does NOT degrade to a partial release (a half-perturbed
 // table is a disclosure hazard, unlike a half-searched lattice): the

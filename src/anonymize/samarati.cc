@@ -3,8 +3,8 @@
 #include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "common/waves.h"
 
 namespace mdc {
 namespace {
@@ -22,12 +22,10 @@ struct SweepState {
 
 // Evaluates nodes at `height` starting from sweep.next_node, appending
 // feasible ones to sweep.feasible. On error (budget or injected), leaves
-// `sweep` positioned at the node that was not evaluated.
-//
-// The sweep runs in waves: the failpoint + budget sequence is replayed per
-// node in deterministic order BEFORE dispatch, so a step budget expires at
-// exactly the same node for any thread count; admitted nodes evaluate
-// concurrently and commit in node order.
+// `sweep` positioned at the node that was not evaluated. The wave driver
+// replays the failpoint + budget sequence per node in NodesAtHeight order
+// before dispatch, so a step budget expires at the same node for any
+// thread count.
 Status CollectFeasibleAtHeight(const EncodedNodeEvaluator& evaluator,
                                const Lattice& lattice, int height,
                                const SamaratiConfig& config,
@@ -40,39 +38,27 @@ Status CollectFeasibleAtHeight(const EncodedNodeEvaluator& evaluator,
     return Status::InvalidArgument(
         "samarati checkpoint: sweep index out of range");
   }
-  const size_t wave = WaveSize(pool);
-  size_t next = sweep.next_node;
-  while (next < nodes.size()) {
-    size_t begin = next;
-    Status admit_error;  // First failpoint/budget error, at node `next`.
-    std::vector<LatticeNode> batch;
-    while (next < nodes.size() && batch.size() < wave) {
-      admit_error = MDC_FAILPOINT_STATUS("samarati.evaluate");
-      if (admit_error.ok()) admit_error = RunContext::Check(run);
-      if (!admit_error.ok()) break;
-      batch.push_back(nodes[next]);
-      ++next;
-    }
-    auto results =
-        EvaluateBatch(evaluator, batch, config.k, config.suppression, pool);
-    for (size_t j = 0; j < batch.size(); ++j) {
-      sweep.next_node = begin + j;
-      StatusOr<EncodedNodeEvaluator::Evaluation>& result = *results[j];
-      if (!result.ok()) return result.status();
-      ++nodes_evaluated;
-      MDC_METRIC_INC("search.samarati.nodes_evaluated");
-      if (result->feasible) {
-        MDC_METRIC_INC("search.samarati.feasible_nodes");
-        sweep.feasible.push_back(batch[j]);
-      }
-    }
-    if (!admit_error.ok()) {
-      sweep.next_node = next;
-      return admit_error;
-    }
-  }
-  sweep.next_node = nodes.size();
-  return Status::Ok();
+  return RunWaves(
+      pool, sweep.next_node, nodes.size(),
+      [&](size_t) -> StatusOr<WaveAdmit> {
+        MDC_RETURN_IF_ERROR(MDC_FAILPOINT_STATUS("samarati.evaluate"));
+        MDC_RETURN_IF_ERROR(RunContext::Check(run));
+        return WaveAdmit::kRun;
+      },
+      [&](size_t i) {
+        return evaluator.Evaluate(nodes[i], config.k, config.suppression);
+      },
+      [&](size_t i, StatusOr<EncodedNodeEvaluator::Evaluation>& evaluation)
+          -> Status {
+        if (!evaluation.ok()) return evaluation.status();
+        ++nodes_evaluated;
+        MDC_METRIC_INC("search.samarati.nodes_evaluated");
+        if (evaluation->feasible) {
+          MDC_METRIC_INC("search.samarati.feasible_nodes");
+          sweep.feasible.push_back(nodes[i]);
+        }
+        return Status::Ok();
+      });
 }
 
 }  // namespace
@@ -181,17 +167,21 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
   // by |nodes| and produces the result we already committed to return.
   auto finish = [&](std::vector<LatticeNode> nodes, int height,
                     bool truncated) -> StatusOr<SamaratiResult> {
-    MDC_CHECK(!nodes.empty());
+    if (nodes.empty()) {
+      // A fresh search keeps a feasible height at `hi` (the top is checked
+      // first); only state resumed under other data or another k loses it.
+      return Status::FailedPrecondition(
+          "samarati: no feasible node at the minimal height; the checkpoint "
+          "does not match this data or k");
+    }
     result.minimal_height = height;
     result.minimal_nodes = std::move(nodes);
     double best_loss = 0.0;
     bool have_best = false;
     for (const LatticeNode& node : result.minimal_nodes) {
       MDC_ASSIGN_OR_RETURN(
-          EncodedNodeEvaluator::Evaluation evaluation,
-          evaluator.Evaluate(node, config.k, config.suppression));
-      MDC_ASSIGN_OR_RETURN(NodeEvaluation released,
-                           evaluator.Materialize(node, evaluation, "samarati"));
+          NodeEvaluation released,
+          evaluator.Release(node, config.k, config.suppression, "samarati"));
       double node_loss = loss(released.anonymization, released.partition);
       if (!have_best || node_loss < best_loss) {
         best_loss = node_loss;

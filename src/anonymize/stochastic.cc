@@ -117,7 +117,12 @@ Status RunRestart(const Lattice& lattice, NodeCache& cache, Rng& rng,
                          cache.Get(node, evaluations));
     if (eval->feasible) break;
     std::vector<LatticeNode> ups = lattice.Successors(node);
-    MDC_CHECK(!ups.empty());  // Top is feasible, so we stop before it.
+    if (ups.empty()) {
+      // A fresh search checks the top first; only a resumed one gets here.
+      return Status::FailedPrecondition(
+          "stochastic: the top node is not feasible; the checkpoint does "
+          "not match this data or k");
+    }
     node = ups[rng.NextBelow(ups.size())];
   }
 
@@ -304,12 +309,9 @@ StatusOr<StochasticResult> StochasticAnonymize(
 
   // Final evaluation runs unbudgeted: it re-derives the release we already
   // committed to return.
-  MDC_ASSIGN_OR_RETURN(
-      EncodedNodeEvaluator::Evaluation evaluation,
-      evaluator.Evaluate(result.best_node, config.k, config.suppression));
-  MDC_ASSIGN_OR_RETURN(
-      NodeEvaluation best,
-      evaluator.Materialize(result.best_node, evaluation, "stochastic"));
+  MDC_ASSIGN_OR_RETURN(NodeEvaluation best,
+                       evaluator.Release(result.best_node, config.k,
+                                         config.suppression, "stochastic"));
   if (!have_best) {
     result.best_loss = loss(best.anonymization, best.partition);
   }

@@ -1,12 +1,12 @@
 // Minimal fork-join thread pool for deterministic fan-out parallelism.
 //
-// The lattice searches evaluate batches of independent nodes; ParallelFor
+// The budgeted sweeps evaluate waves of independent items; ParallelFor
 // runs one closure per index across the pool's workers plus the calling
 // thread and returns when every index has completed. Scheduling order is
 // nondeterministic, so callers that need deterministic results must make
 // the closure for index i write only to slot i and do any order-sensitive
-// reduction themselves after ParallelFor returns (see
-// anonymize/encoded_eval.h for the batch protocol the searches use).
+// reduction themselves after ParallelFor returns (see common/waves.h for
+// the wave driver the sweeps use).
 
 #ifndef MDC_COMMON_THREAD_POOL_H_
 #define MDC_COMMON_THREAD_POOL_H_

@@ -7,7 +7,7 @@
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/text_table.h"
-#include "common/thread_pool.h"
+#include "common/waves.h"
 
 namespace mdc {
 namespace {
@@ -112,42 +112,31 @@ StatusOr<PermutationModel> BuildPermutationModel(
   const size_t attribute_count = original_columns.size();
   std::vector<double> privacy_sum(rows, 0.0);
 
+  // Admission charges `rows` steps per attribute, in attribute order, so
+  // a budget expires at the same attribute for every thread count. Commits
+  // add the privacy sums in attribute order (FP addition order fixed) and
+  // advance the perm.* counters serially.
   ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
-  const size_t wave_size = static_cast<size_t>(pool.thread_count());
-  std::vector<PermutationAttributeModel> slots;
   size_t next = 0;
-  Status admit = Status::Ok();
-  while (next < attribute_count) {
-    // Serial admission: one charge of `rows` steps per attribute, in
-    // attribute order, so a budget expires at the same attribute for
-    // every thread count.
-    const size_t begin = next;
-    while (next < attribute_count && next - begin < wave_size) {
-      admit = RunContext::Check(run, rows);
-      if (!admit.ok()) break;
-      ++next;
-    }
-    const size_t count = next - begin;
-    if (count == 0) break;
-    slots.assign(count, PermutationAttributeModel{});
-    pool.ParallelFor(count, [&](size_t s) {
-      slots[s] = BuildAttributeModel(original_columns[begin + s],
-                                     anonymized_columns[begin + s],
-                                     names[begin + s]);
-    });
-    // In-order commit: privacy sums accumulate in attribute order (FP
-    // addition order fixed) and perm.* counters advance serially.
-    for (size_t s = 0; s < count; ++s) {
-      for (size_t i = 0; i < rows; ++i) {
-        privacy_sum[i] += slots[s].rank_distance[i] / slots[s].max_distance;
-      }
-      MDC_METRIC_INC("perm.attributes_modeled");
-      MDC_METRIC_ADD("perm.rows_ranked", rows);
-      model.attributes.push_back(std::move(slots[s]));
-    }
-    if (!admit.ok()) break;
-  }
-  MDC_RETURN_IF_ERROR(admit);
+  MDC_RETURN_IF_ERROR(RunWaves(
+      pool, next, attribute_count,
+      [&](size_t) -> StatusOr<WaveAdmit> {
+        MDC_RETURN_IF_ERROR(RunContext::Check(run, rows));
+        return WaveAdmit::kRun;
+      },
+      [&](size_t a) {
+        return BuildAttributeModel(original_columns[a], anonymized_columns[a],
+                                   names[a]);
+      },
+      [&](size_t, PermutationAttributeModel& attribute) -> Status {
+        for (size_t i = 0; i < rows; ++i) {
+          privacy_sum[i] += attribute.rank_distance[i] / attribute.max_distance;
+        }
+        MDC_METRIC_INC("perm.attributes_modeled");
+        MDC_METRIC_ADD("perm.rows_ranked", rows);
+        model.attributes.push_back(std::move(attribute));
+        return Status::Ok();
+      }));
 
   std::vector<double> privacy(rows);
   std::vector<double> utility(rows);

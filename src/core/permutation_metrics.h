@@ -22,7 +22,8 @@
 // Determinism contract: attributes are admitted serially (charging
 // RunContext steps in attribute order), ranked wave-parallel into
 // per-attribute slots, and committed — results and `perm.*` counters — in
-// admission order, so outputs are byte-identical for any thread count.
+// admission order by the wave driver (common/waves.h), so outputs are
+// byte-identical for any thread count.
 // Ranks break ties by row index (stable sort), so the model is a pure
 // function of the input columns.
 

@@ -1,7 +1,8 @@
 // Checkpoint/resume determinism: a lattice search interrupted by a step
 // budget, checkpointed, serialized, reloaded, and resumed must end with a
 // result identical to an uninterrupted run — at every interruption point,
-// and across chains of repeated interruptions.
+// and across chains of repeated interruptions. A checkpoint resumed under
+// another k must fail cleanly or still release a k-anonymous table.
 
 #include <gtest/gtest.h>
 
@@ -374,6 +375,139 @@ TEST(CheckpointResumeTest, IncognitoResumeUnderAnotherKIsAFailedPrecondition) {
   EXPECT_NE(resumed.status().message().find("checkpoint does not match"),
             std::string::npos)
       << resumed.status().ToString();
+}
+
+// ------------------------------------------- resume under another k, swept
+
+const CensusData& MismatchCensus() {
+  static const CensusData census = [] {
+    CensusConfig config;
+    config.rows = 200;
+    config.seed = 7;
+    config.with_occupation = false;
+    auto generated = GenerateCensus(config);
+    MDC_CHECK(generated.ok());
+    return std::move(generated).value();
+  }();
+  return census;
+}
+
+// Interrupts `run_fn` at k = 2 at every step budget below its unbudgeted
+// step count and resumes each checkpoint at k = 50. Checkpointed verdicts
+// and best nodes hold nodes that are only 2-anonymous, so each resumed run
+// must either fail with FailedPrecondition naming the mismatch, or return
+// a release in which every class with a non-suppressed row holds at least
+// 50 rows; at least one interruption point must take the first branch.
+template <typename Checkpoint, typename RunFn>
+void CheckResumeUnderAnotherK(RunFn run_fn) {
+  RunContext unbudgeted;
+  auto full = run_fn(2, &unbudgeted, nullptr);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  int failed_precondition = 0;
+  for (uint64_t max_steps = 1; max_steps < unbudgeted.steps(); ++max_steps) {
+    SCOPED_TRACE("max_steps=" + std::to_string(max_steps));
+    RunContext run;
+    run.set_max_steps(max_steps);
+    Checkpoint checkpoint;
+    (void)run_fn(2, &run, &checkpoint);
+    ASSERT_TRUE(checkpoint.has_state()) << "budget fired without a capture";
+    auto bytes = checkpoint.SaveCheckpoint();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    Checkpoint loaded;
+    ASSERT_TRUE(loaded.ResumeFrom(*bytes).ok());
+
+    auto resumed = run_fn(50, nullptr, &loaded);
+    if (!resumed.ok()) {
+      EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+          << resumed.status().ToString();
+      EXPECT_NE(resumed.status().message().find(
+                    "the checkpoint does not match this data or k"),
+                std::string::npos)
+          << resumed.status().ToString();
+      ++failed_precondition;
+      continue;
+    }
+    const NodeEvaluation& released = resumed->best;
+    const std::vector<bool>& suppressed = released.anonymization.suppressed;
+    for (ClassSpan members : released.partition.classes()) {
+      bool has_released_row = false;
+      for (size_t row : members) has_released_row |= !suppressed[row];
+      if (has_released_row) {
+        ASSERT_GE(members.size(), 50u)
+            << "resumed release is not 50-anonymous";
+      }
+    }
+  }
+  EXPECT_GT(failed_precondition, 0)
+      << "no interruption point reached the mismatch guard";
+}
+
+StatusOr<SamaratiResult> RunCensusSamarati(int k, RunContext* run,
+                                           SamaratiCheckpoint* checkpoint) {
+  SamaratiConfig config;
+  config.k = k;
+  return SamaratiAnonymize(MismatchCensus().data, MismatchCensus().hierarchies,
+                           config, ProxyLoss, run, checkpoint);
+}
+
+StatusOr<OptimalSearchResult> RunCensusOptimal(
+    int k, RunContext* run, OptimalLatticeCheckpoint* checkpoint) {
+  OptimalSearchConfig config;
+  config.k = k;
+  return OptimalLatticeSearch(MismatchCensus().data,
+                              MismatchCensus().hierarchies, config, ProxyLoss,
+                              run, checkpoint);
+}
+
+StatusOr<StochasticResult> RunCensusStochastic(
+    int k, RunContext* run, StochasticCheckpoint* checkpoint) {
+  StochasticConfig config;
+  config.k = k;
+  config.restarts = 4;
+  config.seed = 3;
+  return StochasticAnonymize(MismatchCensus().data,
+                             MismatchCensus().hierarchies, config, ProxyLoss,
+                             run, checkpoint);
+}
+
+TEST(CheckpointResumeTest, SamaratiResumeUnderAnotherKFailsCleanly) {
+  CheckResumeUnderAnotherK<SamaratiCheckpoint>(RunCensusSamarati);
+}
+
+TEST(CheckpointResumeTest, OptimalResumeUnderAnotherKFailsCleanly) {
+  CheckResumeUnderAnotherK<OptimalLatticeCheckpoint>(RunCensusOptimal);
+}
+
+TEST(CheckpointResumeTest, StochasticResumeUnderAnotherKFailsCleanly) {
+  CheckResumeUnderAnotherK<StochasticCheckpoint>(RunCensusStochastic);
+}
+
+TEST(CheckpointResumeTest, ResumeUnderKAboveTheRowCountFailsCleanly) {
+  // At k = 1000 > 200 rows not even the top node is feasible. Samarati's
+  // binary search and the stochastic walk's random starts rely on a
+  // feasible top, which a fresh run checks first; a resumed run must fail
+  // with a Status instead of aborting.
+  auto expect_mismatch = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << status.ToString();
+    EXPECT_NE(
+        status.message().find("the checkpoint does not match this data or k"),
+        std::string::npos)
+        << status.ToString();
+  };
+  RunContext samarati_run;
+  samarati_run.set_max_steps(5);
+  SamaratiCheckpoint samarati;
+  (void)RunCensusSamarati(2, &samarati_run, &samarati);
+  ASSERT_TRUE(samarati.has_state());
+  expect_mismatch(RunCensusSamarati(1000, nullptr, &samarati).status());
+
+  RunContext stochastic_run;
+  stochastic_run.set_max_steps(5);
+  StochasticCheckpoint stochastic;
+  (void)RunCensusStochastic(2, &stochastic_run, &stochastic);
+  ASSERT_TRUE(stochastic.has_state());
+  expect_mismatch(RunCensusStochastic(1000, nullptr, &stochastic).status());
 }
 
 }  // namespace

@@ -574,16 +574,16 @@ TEST(SearchOracleTest, UngeneralizableValueFailsLikeReference) {
   EXPECT_EQ(bottom_up.status().ToString(), at_bottom.status().ToString());
 }
 
-// FromCodeColumns' three key widths — one word, two words (__int128), and
-// the map fallback — must group identically. Reference grouping computed
-// with an ordered map over the full tuples.
+// FromCodeColumns' key paths — one packed uint64_t word, and the ordered
+// map fallback for tuples wider than 64 bits — must group identically.
+// Reference grouping computed with an ordered map over the full tuples.
 TEST(FromCodeColumnsTest, AllKeyWidthsMatchReferenceGrouping) {
   struct Shape {
     size_t columns;
     uint32_t cardinality;  // Same for every column.
   };
-  // 4 cols * 5 bits = 20 bits (uint64_t); 9 cols * 11 bits = 99 bits
-  // (__int128); 12 cols * 11 bits = 132 bits (map fallback).
+  // 4 cols * 5 bits = 20 bits (uint64_t); 9 cols * 11 bits = 99 bits and
+  // 12 cols * 11 bits = 132 bits (both on the map fallback).
   for (const Shape& shape :
        {Shape{4, 20}, Shape{9, 1100}, Shape{12, 1100}}) {
     SCOPED_TRACE(std::to_string(shape.columns) + " cols, card " +

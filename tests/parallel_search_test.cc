@@ -4,10 +4,14 @@
 // tables — including when a step budget expires mid-search (the wave
 // protocol replays budget charges in deterministic node order before
 // dispatch), and the checkpoints captured at expiry must serialize to the
-// same bytes and resume to the uninterrupted result.
+// same bytes and resume to the uninterrupted result. The one-thread
+// outcomes themselves are pinned too: a digest over them must equal the
+// constant captured from the pre-driver sweep loops, so a change to the
+// serial behaviour cannot hide behind thread invariance.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -65,6 +69,41 @@ std::string DoubleStr(double value) {
 const std::vector<int> kThreadCounts = {2, 4, 0};  // 0 = hardware.
 const std::vector<uint64_t> kStepBudgets = {1, 3, 9, 27, 81, 200};
 
+// 64-bit FNV-1a over the one-thread outcomes, one outcome per call. Each
+// field is followed by a unit-separator byte, so field boundaries are part
+// of the digest.
+constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+
+uint64_t FoldOutcome(uint64_t digest, const std::vector<std::string>& fields) {
+  for (const std::string& field : fields) {
+    for (unsigned char byte : field + '\x1f') {
+      digest ^= byte;
+      digest *= 1099511628211ULL;
+    }
+  }
+  return digest;
+}
+
+// One-thread outcome digests, captured from the hand-written per-site
+// sweep loops that the wave driver (common/waves.h) replaced. A deliberate
+// change to a sweep's serial behaviour updates its constant and says why.
+constexpr uint64_t kSamaratiDigest = 0x31c4b8cc616d7bdbULL;
+constexpr uint64_t kOptimalDigest = 0xea1739d27526fc6dULL;
+constexpr uint64_t kIncognitoDigest = 0xcccbbc744ca603cbULL;
+constexpr uint64_t kParetoDigest = 0x0a20b139215a4253ULL;
+constexpr uint64_t kStochasticDigest = 0xa3ae0c27dad00058ULL;
+constexpr uint64_t kPerturbNoiseDigest = 0xd910cd75220440fcULL;
+constexpr uint64_t kPerturbRankSwapDigest = 0x510a0625bb3990e8ULL;
+constexpr uint64_t kPerturbMicroaggDigest = 0xc8ae028f7f8a7e30ULL;
+constexpr uint64_t kPermutationModelDigest = 0xfa4e626e72640743ULL;
+
+std::string DigestStr(uint64_t digest) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llxULL",
+                static_cast<unsigned long long>(digest));
+  return buffer;
+}
+
 // The invariance harness. `run_fn(threads, run, checkpoint)` runs one
 // search; `fingerprint` must cover everything the search promises to keep
 // deterministic. Checks: (1) full runs match the serial fingerprint for
@@ -74,10 +113,14 @@ const std::vector<uint64_t> kStepBudgets = {1, 3, 9, 27, 81, 200};
 // compared via `resume_fingerprint` — normally the same as `fingerprint`,
 // but stochastic excludes nodes_evaluated there (the memo cache is not
 // part of the checkpoint, so a resumed run may recompute evaluations; see
-// checkpoint_resume_test.cc).
+// checkpoint_resume_test.cc). (4) The one-thread outcomes — the
+// unbudgeted run and every kStepBudgets run: status code, truncation,
+// fingerprint, checkpoint bytes and deterministic counters — fold into a
+// digest that must equal `pinned_digest`.
 template <typename Checkpoint, typename RunFn, typename FingerprintFn,
           typename ResumeFingerprintFn>
-void CheckThreadInvariance(RunFn run_fn, FingerprintFn fingerprint,
+void CheckThreadInvariance(uint64_t pinned_digest, RunFn run_fn,
+                           FingerprintFn fingerprint,
                            ResumeFingerprintFn resume_fingerprint) {
   metrics::ResetForTest();
   auto baseline = run_fn(1, nullptr, nullptr);
@@ -89,6 +132,8 @@ void CheckThreadInvariance(RunFn run_fn, FingerprintFn fingerprint,
   const std::string want_counters =
       metrics::Snapshot().DeterministicCountersText();
   EXPECT_FALSE(want_counters.empty());
+  uint64_t serial_digest =
+      FoldOutcome(kFnvOffsetBasis, {"unbudgeted", want, want_counters});
 
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -116,6 +161,20 @@ void CheckThreadInvariance(RunFn run_fn, FingerprintFn fingerprint,
     auto parallel = run_fn(4, &parallel_run, &parallel_ckpt);
     const std::string parallel_counters =
         metrics::Snapshot().DeterministicCountersText();
+
+    std::string serial_bytes_text;
+    if (serial_ckpt.has_state()) {
+      auto bytes = serial_ckpt.SaveCheckpoint();
+      ASSERT_TRUE(bytes.ok());
+      serial_bytes_text = *bytes;
+    }
+    serial_digest = FoldOutcome(
+        serial_digest,
+        {std::to_string(max_steps),
+         std::to_string(static_cast<int>(serial.status().code())),
+         serial.ok() ? std::to_string(serial->run_stats.truncated) : "-",
+         serial.ok() ? fingerprint(*serial) : "-", serial_bytes_text,
+         serial_counters});
 
     ASSERT_EQ(serial.ok(), parallel.ok())
         << (serial.ok() ? parallel.status() : serial.status()).ToString();
@@ -147,15 +206,20 @@ void CheckThreadInvariance(RunFn run_fn, FingerprintFn fingerprint,
       EXPECT_EQ(resume_fingerprint(*resumed), resume_fingerprint(*baseline));
     }
   }
+  EXPECT_EQ(DigestStr(serial_digest), DigestStr(pinned_digest))
+      << "the one-thread outcomes differ from the pinned sweep behaviour";
 }
 
 template <typename Checkpoint, typename RunFn, typename FingerprintFn>
-void CheckThreadInvariance(RunFn run_fn, FingerprintFn fingerprint) {
-  CheckThreadInvariance<Checkpoint>(run_fn, fingerprint, fingerprint);
+void CheckThreadInvariance(uint64_t pinned_digest, RunFn run_fn,
+                           FingerprintFn fingerprint) {
+  CheckThreadInvariance<Checkpoint>(pinned_digest, run_fn, fingerprint,
+                                    fingerprint);
 }
 
 TEST(ParallelSearchTest, SamaratiThreadInvariant) {
   CheckThreadInvariance<SamaratiCheckpoint>(
+      kSamaratiDigest,
       [](int threads, RunContext* run, SamaratiCheckpoint* checkpoint) {
         SamaratiConfig config;
         config.k = 3;
@@ -175,6 +239,7 @@ TEST(ParallelSearchTest, SamaratiThreadInvariant) {
 
 TEST(ParallelSearchTest, OptimalThreadInvariant) {
   CheckThreadInvariance<OptimalLatticeCheckpoint>(
+      kOptimalDigest,
       [](int threads, RunContext* run, OptimalLatticeCheckpoint* checkpoint) {
         OptimalSearchConfig config;
         config.k = 3;
@@ -194,6 +259,7 @@ TEST(ParallelSearchTest, OptimalThreadInvariant) {
 
 TEST(ParallelSearchTest, IncognitoThreadInvariant) {
   CheckThreadInvariance<IncognitoCheckpoint>(
+      kIncognitoDigest,
       [](int threads, RunContext* run, IncognitoCheckpoint* checkpoint) {
         IncognitoConfig config;
         config.k = 3;
@@ -213,6 +279,7 @@ TEST(ParallelSearchTest, IncognitoThreadInvariant) {
 
 TEST(ParallelSearchTest, ParetoThreadInvariant) {
   CheckThreadInvariance<ParetoLatticeCheckpoint>(
+      kParetoDigest,
       [](int threads, RunContext* run, ParetoLatticeCheckpoint* checkpoint) {
         ParetoLatticeConfig config;
         config.threads = threads;
@@ -240,6 +307,7 @@ TEST(ParallelSearchTest, ParetoThreadInvariant) {
 
 TEST(ParallelSearchTest, StochasticThreadInvariant) {
   CheckThreadInvariance<StochasticCheckpoint>(
+      kStochasticDigest,
       [](int threads, RunContext* run, StochasticCheckpoint* checkpoint) {
         StochasticConfig config;
         config.k = 3;
@@ -305,6 +373,7 @@ std::string PerturbFingerprint(const PerturbResult& result) {
 // step budget expires inside the column sweep.
 TEST(ParallelSearchTest, PerturbNoiseThreadInvariant) {
   CheckThreadInvariance<PerturbCheckpoint>(
+      kPerturbNoiseDigest,
       [](int threads, RunContext* run, PerturbCheckpoint* checkpoint) {
         PerturbConfig config;
         config.mechanism = PerturbMechanism::kNoise;
@@ -317,6 +386,7 @@ TEST(ParallelSearchTest, PerturbNoiseThreadInvariant) {
 
 TEST(ParallelSearchTest, PerturbRankSwapThreadInvariant) {
   CheckThreadInvariance<PerturbCheckpoint>(
+      kPerturbRankSwapDigest,
       [](int threads, RunContext* run, PerturbCheckpoint* checkpoint) {
         PerturbConfig config;
         config.mechanism = PerturbMechanism::kRankSwap;
@@ -330,6 +400,7 @@ TEST(ParallelSearchTest, PerturbRankSwapThreadInvariant) {
 
 TEST(ParallelSearchTest, PerturbMicroaggThreadInvariant) {
   CheckThreadInvariance<PerturbCheckpoint>(
+      kPerturbMicroaggDigest,
       [](int threads, RunContext* run, PerturbCheckpoint* checkpoint) {
         PerturbConfig config;
         config.mechanism = PerturbMechanism::kMicroaggregation;
@@ -376,6 +447,8 @@ TEST(ParallelSearchTest, PermutationModelThreadInvariant) {
   const std::string want_counters =
       metrics::Snapshot().DeterministicCountersText();
   EXPECT_FALSE(want_counters.empty());
+  uint64_t serial_digest =
+      FoldOutcome(kFnvOffsetBasis, {"unbudgeted", want, want_counters});
 
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -402,6 +475,12 @@ TEST(ParallelSearchTest, PermutationModelThreadInvariant) {
     const std::string parallel_counters =
         metrics::Snapshot().DeterministicCountersText();
 
+    serial_digest = FoldOutcome(
+        serial_digest,
+        {std::to_string(max_steps),
+         std::to_string(static_cast<int>(serial.status().code())),
+         serial.ok() ? model_fingerprint(*serial) : "-", serial_counters});
+
     ASSERT_EQ(serial.ok(), parallel.ok());
     EXPECT_EQ(serial_counters, parallel_counters);
     if (serial.ok()) {
@@ -410,6 +489,8 @@ TEST(ParallelSearchTest, PermutationModelThreadInvariant) {
       EXPECT_EQ(serial.status().code(), parallel.status().code());
     }
   }
+  EXPECT_EQ(DigestStr(serial_digest), DigestStr(kPermutationModelDigest))
+      << "the one-thread outcomes differ from the pinned sweep behaviour";
 }
 
 }  // namespace
