@@ -1,11 +1,14 @@
 // Perturbation + permutation-model benchmarks backing
 // BENCH_permutation.json:
 //   1. per-mechanism perturbation throughput (rows/s) at N ∈ {1e4, 1e5,
-//      1e6} — noise is O(N), rank swapping and microaggregation are
-//      dominated by the O(N log N) sort;
+//      1e6} — noise and microaggregation are O(N) (the row order is a
+//      linear-pass radix sort, StableOrder), rank swapping adds its
+//      O(N log N) Fenwick sweep;
 //   2. permutation-model extraction throughput (rank vectors + rank
 //      distances) at the same sizes, serial vs threaded across columns;
-//   3. a determinism benchmark asserting the released table and the
+//   3. RankVector alone at the same sizes, checked against a
+//      std::stable_sort reference before it is timed;
+//   4. a determinism benchmark asserting the released table and the
 //      perturb.*/perm.* counters stay byte-identical across thread
 //      counts (the bench aborts loudly if the wave contract regresses).
 // items_processed counts released cells, so items_per_second is cell
@@ -13,7 +16,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -131,6 +136,34 @@ BENCHMARK(BM_PermutationModel)
     ->Args({100000, 4, 2})
     ->Args({100000, 4, 4})
     ->Args({100000, 4, 0})
+    ->Unit(benchmark::kMillisecond);
+
+// One column of MakeData ranked: the primitive under the model and both
+// order-based mechanisms. The ranks must equal a std::stable_sort
+// reference (ties by row index) before anything is timed, so the
+// bench-smoke run is also a release-build oracle gate.
+void BM_RankVector(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const std::vector<double> values =
+      MakeData(rows, 1, /*seed=*/45)->Numbers(0);
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return values[a] < values[b];
+  });
+  std::vector<uint32_t> want(rows);
+  for (size_t r = 0; r < rows; ++r) want[order[r]] = static_cast<uint32_t>(r);
+  MDC_CHECK(RankVector(values) == want);
+  for (auto _ : state) {
+    std::vector<uint32_t> ranks = RankVector(values);
+    benchmark::DoNotOptimize(ranks.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_RankVector)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 // Determinism assertions as a benchmark: every iteration re-perturbs and

@@ -5,13 +5,12 @@
 // takes one more group of k; the final k..2k-1 values form one group.
 // Each value is released as its group mean, so every released value is
 // shared by >= k rows (permutation_laws_test proves the floor) — the
-// k-anonymity analogue for numeric microdata. Deterministic: no RNG, ties
-// broken by row index via stable sort.
-
-#include <algorithm>
-#include <numeric>
+// k-anonymity analogue for numeric microdata. Deterministic: no RNG; rows
+// are ordered by StableOrder (core/permutation_metrics.h), ties by row
+// index.
 
 #include "anonymize/perturb/perturb.h"
+#include "core/permutation_metrics.h"
 
 namespace mdc {
 
@@ -21,11 +20,7 @@ std::vector<double> PerturbColumnMicroaggregate(
   std::vector<double> out(values);
   if (n == 0 || k <= 1) return out;
 
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return values[a] < values[b]; });
-
+  const std::vector<uint32_t> order = StableOrder(values);
   const size_t group = static_cast<size_t>(k);
   size_t lo = 0;      // First unassigned sorted position.
   size_t hi = n;      // One past the last unassigned sorted position.

@@ -214,6 +214,19 @@ StatusOr<PerturbResult> PerturbAnonymize(
     return Status::InvalidArgument(
         "perturbation needs at least one numeric quasi-identifier column");
   }
+  // The kernels order and average finite values only (an int column
+  // always is): a NaN or an infinity is refused before any work, so no
+  // release carries one.
+  for (size_t column : columns) {
+    if (schema.attribute(column).type != AttributeType::kReal) continue;
+    for (double value : original->reals(column)) {
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument(
+            "perturbation: column " + schema.attribute(column).name +
+            " contains a non-finite value");
+      }
+    }
+  }
   const size_t rows = original->row_count();
   const uint64_t fingerprint = ConfigHash(config, rows, columns.size());
   RunContext::ChargeMemory(run, columns.size() * rows * sizeof(double));

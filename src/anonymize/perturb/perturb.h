@@ -102,9 +102,11 @@ struct PerturbResult {
 };
 
 // Perturbs every numeric quasi-identifier column of `original`.
-// InvalidArgument when the config is invalid, the dataset is empty, or no
-// numeric QI column exists. The release schema converts perturbed int
-// columns to kReal (noise offsets and group means are not integers).
+// InvalidArgument when the config is invalid, the dataset is empty, no
+// numeric QI column exists, or a perturbed real column holds a NaN or an
+// infinity (checked before any column is perturbed; a checkpoint passed in
+// is left as it was). The release schema converts perturbed int columns to
+// kReal (noise offsets and group means are not integers).
 StatusOr<PerturbResult> PerturbAnonymize(
     std::shared_ptr<const Dataset> original, const PerturbConfig& config,
     RunContext* run = nullptr, PerturbCheckpoint* checkpoint = nullptr);
@@ -112,7 +114,7 @@ StatusOr<PerturbResult> PerturbAnonymize(
 // ---------------------------------------------------------------------------
 // Per-column kernels (one translation unit each). Pure functions of their
 // arguments — the law-based test suite (tests/permutation_laws_test.cc)
-// targets these directly.
+// targets these directly. PerturbAnonymize hands them finite values only.
 
 // x'_i = x_i + s·σ·g_i with σ the population stddev of `values` and g_i
 // standard normal draws from Rng(seed). A constant column (σ = 0) is
@@ -121,16 +123,19 @@ std::vector<double> PerturbColumnNoise(const std::vector<double>& values,
                                        double scale, uint64_t seed);
 
 // Rank swapping with window w = max(1, floor(window · N)) rank positions.
-// Ranks are assigned by stable sort (ties broken by row index), each
-// not-yet-swapped rank picks a partner uniformly among the not-yet-swapped
-// ranks within w above it, and the two rows exchange values.
+// Ranks are the StableOrder of `values` (core/permutation_metrics.h: the
+// stable ascending order, ties broken by row index), each not-yet-swapped
+// rank picks a partner uniformly among the not-yet-swapped ranks within w
+// above it, and the two rows exchange values. Precondition: every value is
+// finite.
 std::vector<double> PerturbColumnRankSwap(const std::vector<double>& values,
                                           double window, uint64_t seed);
 
 // MDAV-style univariate microaggregation with minimum group size k: while
 // >= 2k values remain, the extremes take their k-1 nearest neighbours as
 // groups; the (< 2k) remainder forms one group. Every value is replaced
-// by its group mean. Deterministic — no RNG.
+// by its group mean. Rows are ordered by StableOrder, ties by row index.
+// Deterministic — no RNG. Precondition: every value is finite.
 std::vector<double> PerturbColumnMicroaggregate(
     const std::vector<double>& values, int k);
 

@@ -18,11 +18,11 @@
 // bit-identical to the reference sweep for every (values, window, seed).
 
 #include <algorithm>
-#include <numeric>
 
 #include "anonymize/perturb/perturb.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/permutation_metrics.h"
 
 namespace mdc {
 
@@ -83,12 +83,10 @@ std::vector<double> PerturbColumnRankSwap(const std::vector<double>& values,
   std::vector<double> out(values);
   if (n < 2) return out;
 
-  // Rank r holds the row index of the r-th smallest value; ties broken by
-  // row index (stable), matching RankVector in core/permutation_metrics.h.
-  std::vector<size_t> row_of_rank(n);
-  std::iota(row_of_rank.begin(), row_of_rank.end(), size_t{0});
-  std::stable_sort(row_of_rank.begin(), row_of_rank.end(),
-                   [&](size_t a, size_t b) { return values[a] < values[b]; });
+  // Rank r holds the row index of the r-th smallest value, ties broken by
+  // row index: the StableOrder of core/permutation_metrics.h, the order
+  // RankVector ranks by.
+  const std::vector<uint32_t> row_of_rank = StableOrder(values);
 
   const size_t w = std::max<size_t>(
       1, static_cast<size_t>(window * static_cast<double>(n)));

@@ -1,9 +1,11 @@
 #include "core/permutation_metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numeric>
+#include <limits>
 
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/text_table.h"
@@ -11,6 +13,18 @@
 
 namespace mdc {
 namespace {
+
+// Order-preserving key of a finite double: unsigned order of the keys is
+// the order of `<` on the values. A positive value's bits already order
+// as unsigned integers once the sign bit is set; a negative value's bits
+// order backwards, so they are complemented. Zero is folded to +0.0 first
+// (−0.0 would otherwise key below +0.0).
+uint64_t OrderKey(double value) {
+  if (value == 0.0) value = 0.0;
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
 
 Status ValidateFinite(const std::vector<double>& values,
                       const std::string& what) {
@@ -22,6 +36,15 @@ Status ValidateFinite(const std::vector<double>& values,
   return Status::Ok();
 }
 
+// rank[order[r]] = r: the ranks of a stable order.
+std::vector<uint32_t> RanksOf(const std::vector<uint32_t>& order) {
+  std::vector<uint32_t> ranks(order.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    ranks[order[r]] = static_cast<uint32_t>(r);
+  }
+  return ranks;
+}
+
 // Pure per-attribute model build — runs inside the wave, one slot per
 // attribute, no shared state.
 PermutationAttributeModel BuildAttributeModel(
@@ -29,15 +52,12 @@ PermutationAttributeModel BuildAttributeModel(
     const std::vector<double>& anonymized, const std::string& name) {
   PermutationAttributeModel model;
   model.name = name;
-  model.original_ranks = RankVector(original);
+  // The original order is row_of_rank_X; sigma matches release ranks
+  // against original ranks (the rank-linkage attack).
+  const std::vector<uint32_t> row_of_rank = StableOrder(original);
+  model.original_ranks = RanksOf(row_of_rank);
   model.anonymized_ranks = RankVector(anonymized);
   const size_t n = original.size();
-  // row_of_rank_X inverts the original ranks; sigma matches release ranks
-  // against original ranks (the rank-linkage attack).
-  std::vector<uint32_t> row_of_rank(n);
-  for (size_t i = 0; i < n; ++i) {
-    row_of_rank[model.original_ranks[i]] = static_cast<uint32_t>(i);
-  }
   model.permutation.resize(n);
   model.rank_distance.resize(n);
   model.max_distance = n > 1 ? static_cast<double>(n - 1) : 1.0;
@@ -55,16 +75,49 @@ PermutationAttributeModel BuildAttributeModel(
 
 }  // namespace
 
-std::vector<uint32_t> RankVector(const std::vector<double>& values) {
+std::vector<uint32_t> StableOrder(std::span<const double> values) {
+  // 11-bit digits: six counting passes cover the 64-bit key. The digit
+  // histograms of every pass are counted in one sweep up front (permuting
+  // the rows leaves them unchanged); a pass whose digit is the same on
+  // every row would only copy, so it is skipped. Only row indices move:
+  // each pass re-derives its digits from the values, so the working set
+  // beyond the result is one more index array.
+  constexpr int kDigitBits = 11;
+  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  const auto digit = [](uint64_t key, int pass) {
+    return static_cast<size_t>((key >> (pass * kDigitBits)) & (kBuckets - 1));
+  };
   const size_t n = values.size();
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), uint32_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return values[a] < values[b];
-  });
-  std::vector<uint32_t> ranks(n);
-  for (size_t r = 0; r < n; ++r) ranks[order[r]] = static_cast<uint32_t>(r);
-  return ranks;
+  MDC_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  std::vector<uint32_t> order(n), next_order(n);
+  std::vector<uint32_t> counts(kPasses * kBuckets, 0);
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = static_cast<uint32_t>(i);
+    const uint64_t key = OrderKey(values[i]);
+    for (int p = 0; p < kPasses; ++p) ++counts[p * kBuckets + digit(key, p)];
+  }
+  for (int p = 0; p < kPasses && n > 0; ++p) {
+    uint32_t* offset = &counts[p * kBuckets];
+    if (offset[digit(OrderKey(values[0]), p)] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t count = offset[b];
+      offset[b] = sum;
+      sum += count;
+    }
+    // Rows scatter in their current order, so equal digits keep it: each
+    // pass is stable, and rows with equal keys stay in row order.
+    for (const uint32_t row : order) {
+      next_order[offset[digit(OrderKey(values[row]), p)]++] = row;
+    }
+    order.swap(next_order);
+  }
+  return order;
+}
+
+std::vector<uint32_t> RankVector(const std::vector<double>& values) {
+  return RanksOf(StableOrder(values));
 }
 
 StatusOr<std::vector<uint32_t>> ImplicitPermutation(

@@ -24,13 +24,14 @@
 // per-attribute slots, and committed — results and `perm.*` counters — in
 // admission order by the wave driver (common/waves.h), so outputs are
 // byte-identical for any thread count.
-// Ranks break ties by row index (stable sort), so the model is a pure
-// function of the input columns.
+// Ranks break ties by row index (StableOrder below), so the model is a
+// pure function of the input columns.
 
 #ifndef MDC_CORE_PERMUTATION_METRICS_H_
 #define MDC_CORE_PERMUTATION_METRICS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,8 +43,19 @@
 
 namespace mdc {
 
-// rank[i] = position of row i in the stable ascending sort of `values`
-// (ties broken by row index). The result is a permutation of 0..N-1.
+// The row indices of `values` in ascending value order, ties in row
+// order: exactly the permutation std::stable_sort gives with `values[a] <
+// values[b]` as the comparator, computed in linear passes. Each value is
+// mapped to a 64-bit key whose unsigned order is the order of `<` (−0.0
+// folded into +0.0 first, since `<` treats them as equal), and an LSD
+// radix sort over the keys, stable in every pass, keeps equal keys in row
+// order. Precondition: every value is finite (the callers validate; a NaN
+// would get a position `<` cannot give it) and N < 2^32 (MDC_CHECKed).
+// Rank swapping and microaggregation order their rows through it too.
+std::vector<uint32_t> StableOrder(std::span<const double> values);
+
+// rank[i] = position of row i in StableOrder(values), so ties break by
+// row index. The result is a permutation of 0..N-1. Values must be finite.
 std::vector<uint32_t> RankVector(const std::vector<double>& values);
 
 // The implicit permutation sigma of the release: sigma[i] = j means the

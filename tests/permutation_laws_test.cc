@@ -15,7 +15,8 @@
 //
 // Plus the mechanism-level contracts: microaggregation's >= k group
 // sizes and mean preservation, noise determinism per seed, and the
-// budget-expiry / checkpoint-resume behavior of PerturbAnonymize.
+// budget-expiry / checkpoint-resume behavior of PerturbAnonymize and its
+// refusal of non-finite input.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "anonymize/perturb/perturb.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/permutation_metrics.h"
 #include "table/dataset.h"
@@ -309,6 +311,44 @@ TEST(PermutationLawsTest, BudgetExpiryCheckpointResumesBitIdentical) {
   ASSERT_TRUE(stale.ResumeFrom(*bytes).ok());
   auto mismatched = PerturbAnonymize(data, other, nullptr, &stale);
   EXPECT_FALSE(mismatched.ok());
+}
+
+// The kernels order and average finite values only: a NaN or an infinity
+// in a perturbed real column is refused before any column is perturbed,
+// so no release carries one (the permutation model would reject it), a
+// checkpoint passed in stays empty and no run is counted.
+TEST(PermutationLawsTest, NonFiniteRealColumnIsRejectedBeforeAnyWork) {
+  std::vector<AttributeDef> attributes(2);
+  attributes[0].name = "x";
+  attributes[0].type = AttributeType::kReal;
+  attributes[0].role = AttributeRole::kQuasiIdentifier;
+  attributes[1].name = "y";
+  attributes[1].type = AttributeType::kInt;
+  attributes[1].role = AttributeRole::kQuasiIdentifier;
+  auto schema = Schema::Create(attributes);
+  ASSERT_TRUE(schema.ok());
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Dataset data(*schema);
+    for (double x : {3.0, bad, 1.0, 2.0, 0.0, -1.0, 5.0}) {
+      ASSERT_TRUE(
+          data.AppendRow({Value(x), Value(static_cast<int64_t>(x > 1))}).ok());
+    }
+    auto shared = std::make_shared<const Dataset>(std::move(data));
+    for (const char* mechanism : {"noise", "rankswap", "microagg"}) {
+      SCOPED_TRACE(std::string(mechanism) + " " + std::to_string(bad));
+      PerturbConfig config;
+      config.mechanism = *ParsePerturbMechanism(mechanism);
+      PerturbCheckpoint checkpoint;
+      const uint64_t runs = metrics::Snapshot().counters["perturb.runs"];
+      auto result = PerturbAnonymize(shared, config, nullptr, &checkpoint);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("column x"), std::string::npos)
+          << result.status().ToString();
+      EXPECT_FALSE(checkpoint.has_state());
+      EXPECT_EQ(metrics::Snapshot().counters["perturb.runs"], runs);
+    }
+  }
 }
 
 // The cross-family bridge: a generalization release reverse-maps to class
