@@ -1,6 +1,7 @@
 #include "anonymize/encoded_eval.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -62,7 +63,7 @@ Status EncodedNodeEvaluator::ValidateNode(const LatticeNode& node) const {
   return Status::Ok();
 }
 
-void EncodedNodeEvaluator::GatherLabelCodes(
+std::vector<std::span<const uint32_t>> EncodedNodeEvaluator::GatherLabelCodes(
     const LatticeNode& node, std::vector<std::vector<uint32_t>>& out,
     std::vector<uint32_t>& cards) const {
   const size_t m = bundle_->codec.position_count();
@@ -81,6 +82,7 @@ void EncodedNodeEvaluator::GatherLabelCodes(
                          labels.data());
     }
   }
+  return {out.begin(), out.end()};
 }
 
 StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
@@ -103,11 +105,12 @@ StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
   // first node each thread touches.
   static thread_local std::vector<std::vector<uint32_t>> label_cols;
   static thread_local std::vector<uint32_t> cards;
-  GatherLabelCodes(node, label_cols, cards);
+  const std::vector<std::span<const uint32_t>> spans =
+      GatherLabelCodes(node, label_cols, cards);
 
   Evaluation evaluation;
   evaluation.partition =
-      EquivalencePartition::FromCodeColumns(rows, label_cols, cards);
+      EquivalencePartition::FromCodeColumns(rows, spans, cards);
 
   // Rows of classes smaller than k are suppression candidates; class order
   // is canonical, so this list matches the reference's.
@@ -130,7 +133,7 @@ StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
       for (size_t row : to_suppress) label_cols[pos][row] = star;
     }
     evaluation.partition =
-        EquivalencePartition::FromCodeColumns(rows, label_cols, cards);
+        EquivalencePartition::FromCodeColumns(rows, spans, cards);
     evaluation.suppressed_rows = std::move(to_suppress);
     evaluation.suppressed_count = evaluation.suppressed_rows.size();
   }
@@ -207,10 +210,10 @@ EncodedNodeEvaluator::MaterializeUnsuppressed(const LatticeNode& node,
   const size_t rows = bundle_->view.row_count();
   std::vector<std::vector<uint32_t>> label_cols;
   std::vector<uint32_t> cards;
-  GatherLabelCodes(node, label_cols, cards);
+  const std::vector<std::span<const uint32_t>> spans =
+      GatherLabelCodes(node, label_cols, cards);
   Evaluation raw;
-  raw.partition = EquivalencePartition::FromCodeColumns(rows, label_cols,
-                                                        cards);
+  raw.partition = EquivalencePartition::FromCodeColumns(rows, spans, cards);
   MDC_ASSIGN_OR_RETURN(NodeEvaluation materialized,
                        Materialize(node, raw, std::move(algorithm)));
   return Candidate{std::move(materialized.anonymization),

@@ -4,16 +4,16 @@
 //
 // The reference EvaluateNode() (full_domain.h) generalizes every cell
 // through its hierarchy (string construction per row per column) and
-// groups rows with a string-keyed map; no search calls it — it is the
-// oracle tests and benches compare against. EncodedNodeEvaluator does the
-// same work in integer space: the dataset's QI columns are
-// dictionary-encoded once (table/encoded_view.h), each (position, level)
-// gets a code translation table built from the distinct values only
-// (hierarchy/level_codec.h), and evaluating a node is then an O(rows)
-// integer gather plus hash-grouping on packed code tuples. Label codes are
-// assigned in sorted-label order, so the resulting EquivalencePartition is
-// bit-identical to the reference's — same class order, same members, same
-// ClassOfRow.
+// regroups the string release (FromAnonymization); no search calls it —
+// it is the oracle tests and benches compare against.
+// EncodedNodeEvaluator does the same work in integer space: the dataset's
+// QI columns are dictionary-encoded once (table/encoded_view.h), each
+// (position, level) gets a code translation table built from the distinct
+// values only (hierarchy/level_codec.h), and evaluating a node is then an
+// O(rows) integer gather plus hash-grouping on packed code tuples. Label
+// codes are assigned in sorted-label order, so the resulting
+// EquivalencePartition is bit-identical to the reference's — same class
+// order, same members, same ClassOfRow.
 //
 // Evaluate() reproduces EvaluateNode()'s observable sequence — the k
 // check, RunContext::Check, the "full_domain.evaluate" failpoint, node
@@ -36,6 +36,7 @@
 #define MDC_ANONYMIZE_ENCODED_EVAL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -133,10 +134,11 @@ class EncodedNodeEvaluator {
   Status ValidateNode(const LatticeNode& node) const;
 
   // Gathers the per-position label-code columns for `node` into `out` and
-  // the per-position label-space cardinalities into `cards`.
-  void GatherLabelCodes(const LatticeNode& node,
-                        std::vector<std::vector<uint32_t>>& out,
-                        std::vector<uint32_t>& cards) const;
+  // the per-position label-space cardinalities into `cards`; returns spans
+  // over `out`, valid while its columns keep their size.
+  std::vector<std::span<const uint32_t>> GatherLabelCodes(
+      const LatticeNode& node, std::vector<std::vector<uint32_t>>& out,
+      std::vector<uint32_t>& cards) const;
 
   std::shared_ptr<const Dataset> original_;
   HierarchySet hierarchies_;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <span>
-#include <string>
+#include <numeric>
 
 #include "common/metrics.h"
+#include "table/encoded_view.h"
 
 namespace mdc {
 namespace {
@@ -83,15 +82,24 @@ void GroupByKeys(size_t row_count, GroupScratch& scratch) {
   }
 }
 
-// The member lists of a key-ordered group map, as spans in key order.
-template <typename GroupMap>
-std::vector<ClassSpan> SpansInKeyOrder(const GroupMap& groups) {
-  std::vector<ClassSpan> spans;
-  spans.reserve(groups.size());
-  for (const auto& [key, members] : groups) {
-    spans.emplace_back(members.data(), members.size());
-  }
-  return spans;
+// The slots GroupByKeys found, ranked by ascending key: the result maps
+// each slot to its rank. Sorts the (few) distinct keys, not the rows.
+std::vector<uint32_t> RankSlots(const GroupScratch& scratch) {
+  const size_t count = scratch.slot_keys.size();
+  std::vector<uint32_t> order(count);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&scratch](uint32_t a, uint32_t b) {
+    return scratch.slot_keys[a] < scratch.slot_keys[b];
+  });
+  std::vector<uint32_t> rank(count);
+  for (uint32_t i = 0; i < count; ++i) rank[order[i]] = i;
+  return rank;
+}
+
+// Bits that hold every code below `cardinality`.
+int BitsFor(uint64_t cardinality) {
+  return cardinality > 1 ? static_cast<int>(std::bit_width(cardinality - 1))
+                         : 0;
 }
 
 }  // namespace
@@ -120,125 +128,70 @@ EquivalencePartition EquivalencePartition::FromAnonymization(
 
 EquivalencePartition EquivalencePartition::FromColumns(
     const Dataset& dataset, const std::vector<size_t>& columns) {
-  // std::map keys give deterministic (sorted) class order. The scratch key
-  // is reused across rows: groups that already exist cost no allocation.
-  // A key cell is the printed value (Value::ToString); a string column
-  // reads it from its dictionary (null for other columns).
-  std::map<std::vector<std::string>, std::vector<size_t>> groups;
-  std::vector<std::string> key;
-  key.reserve(columns.size());
-  std::vector<const std::vector<std::string>*> dictionaries;
+  StatusOr<EncodedView> view = EncodedView::Build(dataset, columns);
+  MDC_CHECK_MSG(view.ok(), "equivalence key column out of range");
   std::vector<std::span<const uint32_t>> codes;
-  for (size_t c : columns) {
-    const bool is_string =
-        dataset.schema().attribute(c).type == AttributeType::kString;
-    dictionaries.push_back(is_string ? &dataset.dictionary(c) : nullptr);
-    codes.push_back(is_string ? dataset.codes(c)
-                              : std::span<const uint32_t>{});
+  std::vector<uint32_t> cardinalities;
+  for (size_t pos = 0; pos < columns.size(); ++pos) {
+    codes.emplace_back(view->codes(pos));
+    cardinalities.push_back(
+        static_cast<uint32_t>(view->distinct_values(pos).size()));
   }
-  for (size_t r = 0; r < dataset.row_count(); ++r) {
-    key.clear();
-    for (size_t i = 0; i < columns.size(); ++i) {
-      key.push_back(dictionaries[i] != nullptr
-                        ? (*dictionaries[i])[codes[i][r]]
-                        : dataset.cell(r, columns[i]).ToString());
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) it = groups.emplace(key, std::vector<size_t>{}).first;
-    it->second.push_back(r);
-  }
-  return FromOrderedGroups(dataset.row_count(), SpansInKeyOrder(groups));
+  return FromCodeColumns(dataset.row_count(), codes, cardinalities);
 }
 
 EquivalencePartition EquivalencePartition::FromCodeColumns(
-    size_t row_count, const std::vector<std::vector<uint32_t>>& code_columns,
+    size_t row_count,
+    const std::vector<std::span<const uint32_t>>& code_columns,
     const std::vector<uint32_t>& cardinalities) {
   MDC_CHECK_EQ(code_columns.size(), cardinalities.size());
-  const size_t m = code_columns.size();
-  EquivalencePartition partition;
-  if (m == 0) {
-    // Empty key: every row shares one class (matches FromColumns).
-    partition.class_of_row_.assign(row_count, 0);
-    if (row_count > 0) {
-      partition.members_.resize(row_count);
-      for (size_t r = 0; r < row_count; ++r) partition.members_[r] = r;
-      partition.offsets_ = {0, row_count};
-    }
-    return partition;
-  }
-  for (const std::vector<uint32_t>& codes : code_columns) {
+  static thread_local GroupScratch scratch;
+  // Each column shifts in below the ones before it (key = key << bits |
+  // code), so ascending keys are ascending code tuples. Before a column
+  // that would push the key past 64 bits, the prefix folded so far is
+  // grouped and each row's key restarts at its class rank: ranks keep the
+  // prefix order and need at most 32 bits, as any column does. Column-outer
+  // passes are vertical shift-ors the compiler vectorizes.
+  scratch.keys.assign(row_count, 0);
+  uint64_t* keys = scratch.keys.data();
+  int key_bits = 0;
+  for (size_t pos = 0; pos < code_columns.size(); ++pos) {
+    const std::span<const uint32_t> codes = code_columns[pos];
     MDC_CHECK_EQ(codes.size(), row_count);
-  }
-
-  // Bits per column; shifts place column 0 most significant so numeric key
-  // order equals lexicographic tuple order.
-  int total_bits = 0;
-  std::vector<int> bits(m);
-  for (size_t pos = 0; pos < m; ++pos) {
-    bits[pos] = cardinalities[pos] > 1
-                    ? std::bit_width(cardinalities[pos] - 1u)
-                    : 0;
-    total_bits += bits[pos];
-  }
-  std::vector<int> shifts(m, 0);
-  int shift = total_bits;
-  for (size_t pos = 0; pos < m; ++pos) {
-    shift -= bits[pos];
-    shifts[pos] = shift;
-  }
-
-  if (total_bits <= 64) {
-    static thread_local GroupScratch scratch;
-    // Column-outer key packing: each pass is a vertical shift-or the
-    // compiler vectorizes, unlike a row-outer loop over m columns.
-    scratch.keys.assign(row_count, 0);
-    for (size_t pos = 0; pos < m; ++pos) {
-      const uint32_t* codes = code_columns[pos].data();
-      const int s = shifts[pos];
-      uint64_t* keys = scratch.keys.data();
+    const int bits = BitsFor(cardinalities[pos]);
+    if (key_bits + bits > 64) {
+      GroupByKeys(row_count, scratch);
+      const std::vector<uint32_t> rank = RankSlots(scratch);
       for (size_t r = 0; r < row_count; ++r) {
-        keys[r] |= static_cast<uint64_t>(codes[r]) << s;
+        keys[r] = rank[scratch.slot_of_row[r]];
       }
+      key_bits = BitsFor(rank.size());
     }
-    GroupByKeys(row_count, scratch);
-
-    // Canonical class order is ascending packed key == lexicographic
-    // tuple order. Sort the (few) distinct keys, not the rows.
-    const size_t class_count = scratch.slot_keys.size();
-    std::vector<uint32_t> order(class_count);
-    for (uint32_t i = 0; i < class_count; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&scratch](uint32_t a, uint32_t b) {
-                return scratch.slot_keys[a] < scratch.slot_keys[b];
-              });
-    std::vector<uint32_t> class_of_slot(class_count);
-    for (uint32_t i = 0; i < class_count; ++i) class_of_slot[order[i]] = i;
-
-    partition.offsets_.resize(class_count + 1);
-    partition.offsets_[0] = 0;
-    for (uint32_t i = 0; i < class_count; ++i) {
-      partition.offsets_[i + 1] =
-          partition.offsets_[i] + scratch.counts[order[i]];
-    }
-    std::vector<size_t> cursor(partition.offsets_.begin(),
-                               partition.offsets_.end() - 1);
-    partition.members_.resize(row_count);
-    partition.class_of_row_.resize(row_count);
     for (size_t r = 0; r < row_count; ++r) {
-      const uint32_t class_id = class_of_slot[scratch.slot_of_row[r]];
-      partition.class_of_row_[r] = class_id;
-      partition.members_[cursor[class_id]++] = r;
+      keys[r] = (keys[r] << bits) | codes[r];
     }
-  } else {
-    // Very wide tuples: group on the code vectors themselves. std::map
-    // keeps the canonical order directly; this path is cold.
-    std::map<std::vector<uint32_t>, std::vector<size_t>> groups;
-    std::vector<uint32_t> key(m);
-    for (size_t row = 0; row < row_count; ++row) {
-      for (size_t pos = 0; pos < m; ++pos) key[pos] = code_columns[pos][row];
-      groups[key].push_back(row);
-    }
-    partition = FromOrderedGroups(row_count, SpansInKeyOrder(groups));
+    key_bits += bits;
+  }
+  GroupByKeys(row_count, scratch);
+  const std::vector<uint32_t> class_of_slot = RankSlots(scratch);
+
+  // Canonical class order is ascending key; members stay in row order.
+  EquivalencePartition partition;
+  const size_t class_count = class_of_slot.size();
+  partition.offsets_.assign(class_count + 1, 0);
+  for (uint32_t slot = 0; slot < class_count; ++slot) {
+    partition.offsets_[class_of_slot[slot] + 1] = scratch.counts[slot];
+  }
+  std::partial_sum(partition.offsets_.begin(), partition.offsets_.end(),
+                   partition.offsets_.begin());
+  std::vector<size_t> cursor(partition.offsets_.begin(),
+                             partition.offsets_.end() - 1);
+  partition.members_.resize(row_count);
+  partition.class_of_row_.resize(row_count);
+  for (size_t r = 0; r < row_count; ++r) {
+    const uint32_t class_id = class_of_slot[scratch.slot_of_row[r]];
+    partition.class_of_row_[r] = class_id;
+    partition.members_[cursor[class_id]++] = r;
   }
 
   MDC_METRIC_INC("partition.builds");

@@ -2,8 +2,10 @@
 //
 // Rows with identical quasi-identifier label tuples form an equivalence
 // class. Suppressed rows all carry the top label in every QI cell, so they
-// naturally coalesce into one class. Class order is deterministic
-// (lexicographic in the label tuples).
+// naturally coalesce into one class. Class order is deterministic:
+// ascending key tuples, which over a release is lexicographic label order.
+// One kernel, FromCodeColumns, groups rows for every builder but
+// Mondrian's direct emission (FromOrderedGroups).
 //
 // Storage is CSR-shaped: one flat row-index array partitioned by an
 // offsets table. A lattice search builds one (sometimes two) partitions
@@ -19,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "anonymize/generalizer.h"
@@ -143,19 +146,22 @@ class EquivalencePartition {
   static EquivalencePartition FromAnonymization(
       const Anonymization& anonymization);
 
-  // Groups the rows of `dataset` by the given columns (FromAnonymization's
-  // string-keyed grouping).
+  // Groups the rows of `dataset` by the given columns: EncodedView codes
+  // them in value order and FromCodeColumns groups the codes. Numbers
+  // group by value, not by printed text (9 before 10; -0.0 with +0.0).
   static EquivalencePartition FromColumns(const Dataset& dataset,
                                           const std::vector<size_t>& columns);
 
-  // Integer fast path: groups rows by their code tuples.
+  // The grouping kernel: groups rows by their code tuples.
   // `code_columns[pos]` is a row-aligned code array whose codes lie in
-  // [0, cardinalities[pos]). Codes must be order-isomorphic to the labels
-  // they encode (hierarchy/level_codec.h guarantees this), so the class
-  // order — ascending code tuples — is bit-identical to what FromColumns
-  // produces over the label strings. Class members stay in row order.
+  // [0, cardinalities[pos]). Classes come in ascending tuple order, column
+  // 0 first, so order-isomorphic codes (EncodedView, LevelCodec) give the
+  // values' order; members stay in row order. Any tuple width: a column
+  // that would overflow the 64-bit key first regroups the prefix and
+  // restarts each key at its class rank. Scratch is thread-local.
   static EquivalencePartition FromCodeColumns(
-      size_t row_count, const std::vector<std::vector<uint32_t>>& code_columns,
+      size_t row_count,
+      const std::vector<std::span<const uint32_t>>& code_columns,
       const std::vector<uint32_t>& cardinalities);
 
   size_t class_count() const {
@@ -187,13 +193,14 @@ class EquivalencePartition {
 
  private:
   // Mondrian knows its classes without regrouping the release: it hands
-  // them to FromOrderedGroups directly (anonymize/mondrian.h).
+  // them to FromOrderedGroups directly (anonymize/mondrian.h), sorting its
+  // ~N/k partitions instead of hashing N rows.
   friend StatusOr<MondrianResult> MondrianAnonymize(
       std::shared_ptr<const Dataset> original, const MondrianConfig& config,
       RunContext* run);
 
-  // The one CSR builder: `groups` are the classes in canonical order, each
-  // ascending, together covering rows [0, row_count) exactly once.
+  // Mondrian's CSR builder: `groups` are the classes in canonical order,
+  // each ascending, together covering rows [0, row_count) exactly once.
   static EquivalencePartition FromOrderedGroups(
       size_t row_count, const std::vector<ClassSpan>& groups);
 

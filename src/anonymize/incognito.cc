@@ -4,55 +4,47 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
-#include <unordered_map>
 
 #include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "common/waves.h"
+#include "table/gather_kernels.h"
 
 namespace mdc {
 namespace {
 
-struct VectorHash {
-  size_t operator()(const std::vector<int>& v) const {
-    size_t h = 146527;
-    for (int x : v) {
-      h = h * 1000003 + static_cast<size_t>(x);
-    }
-    return h;
-  }
-};
-
 // Frequency check: rows in classes smaller than k, over the projection of
-// the data onto `subset` at `node` levels — each row's key is its label
+// the data onto `subset` at `node` levels. Each row's key is its label
 // codes, gathered from the evaluator's value codes through the level
-// tables. Feasible iff the count fits in the suppression budget.
+// tables and grouped by the same kernel as a full node. Feasible iff the
+// count fits in the suppression budget.
 bool ProjectionFeasible(const EncodedNodeEvaluator& evaluator,
                         const std::vector<size_t>& subset,
                         const std::vector<int>& node, int k,
                         size_t max_suppressed) {
-  std::vector<const AlignedVector<uint32_t>*> codes(subset.size());
-  std::vector<const std::vector<uint32_t>*> labels(subset.size());
-  for (size_t i = 0; i < subset.size(); ++i) {
-    codes[i] = &evaluator.view().codes(subset[i]);
-    labels[i] = &evaluator.codec().table(subset[i], node[i]).value_to_label;
-  }
   const size_t row_count = evaluator.row_count();
-  std::unordered_map<std::vector<int>, size_t, VectorHash> counts;
-  counts.reserve(row_count);
-  std::vector<int> key(subset.size());
-  for (size_t row = 0; row < row_count; ++row) {
-    for (size_t i = 0; i < subset.size(); ++i) {
-      key[i] = static_cast<int>((*labels[i])[(*codes[i])[row]]);
+  const GatherKernels& kernels = ActiveGatherKernels();
+  std::vector<std::vector<uint32_t>> labels(subset.size(),
+                                            std::vector<uint32_t>(row_count));
+  std::vector<uint32_t> cardinalities;
+  for (size_t i = 0; i < subset.size(); ++i) {
+    const LevelCodeTable& table = evaluator.codec().table(subset[i], node[i]);
+    if (row_count > 0) {
+      kernels.gather_u32(evaluator.view().codes(subset[i]).data(), row_count,
+                         table.value_to_label.data(), labels[i].data());
     }
-    ++counts[key];
+    cardinalities.push_back(static_cast<uint32_t>(table.labels.size()));
   }
+  // Bound to a local: classes() borrows from the partition.
+  const EquivalencePartition partition = EquivalencePartition::FromCodeColumns(
+      row_count, {labels.begin(), labels.end()}, cardinalities);
   size_t undersized = 0;
-  for (const auto& [group, count] : counts) {
-    if (count < static_cast<size_t>(k)) undersized += count;
+  for (ClassSpan members : partition.classes()) {
+    if (members.size() < static_cast<size_t>(k)) undersized += members.size();
   }
   return undersized <= max_suppressed;
 }

@@ -278,8 +278,8 @@ std::string CodeLabel(const MondrianState& state, const Dataset& data,
 }
 
 // The classes FromColumns would group the release into, without reading
-// it back: finished partitions in label-tuple order (the std::map order
-// of the label strings), partitions that print the same tuple merged into
+// it back: finished partitions in label-tuple order (lexicographic over
+// the label strings), partitions that print the same tuple merged into
 // one class. `tuples` holds each partition's label codes into the
 // release's QI columns; a dictionary holds each label once, so equal codes
 // are equal labels. FormatCompact keeps 6 decimals, so reals closer than

@@ -66,6 +66,24 @@ std::string DatasetCacheStats::ToString() const {
          " bytes=" + std::to_string(bytes);
 }
 
+StatusOr<LoadedInputs> LoadInputFiles(const std::string& input_path,
+                                      const std::string& schema_spec,
+                                      const std::string& hierarchies_path) {
+  LoadedInputs loaded;
+  MDC_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(schema_spec));
+  MDC_ASSIGN_OR_RETURN(loaded.csv, ReadFileToString(input_path));
+  MDC_ASSIGN_OR_RETURN(Dataset parsed, Dataset::FromCsv(schema, loaded.csv));
+  loaded.data = std::make_shared<const Dataset>(std::move(parsed));
+  if (!hierarchies_path.empty()) {
+    MDC_ASSIGN_OR_RETURN(loaded.hierarchy_spec,
+                         ReadFileToString(hierarchies_path));
+    MDC_ASSIGN_OR_RETURN(
+        loaded.hierarchies,
+        ParseHierarchySpec(loaded.data->schema(), loaded.hierarchy_spec));
+  }
+  return loaded;
+}
+
 DatasetCache::DatasetCache(DatasetCacheConfig config) : config_(config) {}
 
 DatasetCache::FileStamp DatasetCache::StampFor(const std::string& path) {
@@ -112,24 +130,14 @@ StatusOr<DatasetCache::Resolved> DatasetCache::Resolve(
   }
 
   // Slow path: full load, outside the lock so stats/clear pulls never wait
-  // on file I/O or parsing. The sequence (and therefore every error
-  // Status) is the uncached load path's, statement for statement.
-  MDC_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(schema_spec));
-  MDC_ASSIGN_OR_RETURN(std::string csv, ReadFileToString(input_path));
-  MDC_ASSIGN_OR_RETURN(Dataset parsed, Dataset::FromCsv(schema, csv));
-  auto data = std::make_shared<const Dataset>(std::move(parsed));
-  HierarchySet hierarchies;
-  std::string hier_spec;
-  if (!hierarchies_path.empty()) {
-    MDC_ASSIGN_OR_RETURN(hier_spec, ReadFileToString(hierarchies_path));
-    MDC_ASSIGN_OR_RETURN(hierarchies,
-                         ParseHierarchySpec(data->schema(), hier_spec));
-  }
-
+  // on file I/O or parsing.
+  MDC_ASSIGN_OR_RETURN(
+      LoadedInputs loaded,
+      LoadInputFiles(input_path, schema_spec, hierarchies_path));
   uint64_t hash = kFnvOffset;
   HashBytes(hash, schema_spec);
-  HashBytes(hash, csv);
-  HashBytes(hash, hier_spec);
+  HashBytes(hash, loaded.csv);
+  HashBytes(hash, loaded.hierarchy_spec);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (known_request) {
@@ -177,16 +185,17 @@ StatusOr<DatasetCache::Resolved> DatasetCache::Resolve(
   }
 
   Entry fresh;
-  fresh.data = data;
-  fresh.hierarchies = hierarchies;
-  fresh.base_bytes = csv.size() + hier_spec.size();
+  fresh.data = loaded.data;
+  fresh.hierarchies = loaded.hierarchies;
+  fresh.base_bytes = loaded.csv.size() + loaded.hierarchy_spec.size();
   fresh.bytes = fresh.base_bytes;
   total_bytes_ += fresh.bytes;
   auto [it, inserted] = entries_.emplace(hash, std::move(fresh));
   TouchLocked(it->second);
   EnforceBudgetLocked(hash);
   PublishGaugesLocked();
-  return Resolved{hash, std::move(data), std::move(hierarchies)};
+  return Resolved{hash, std::move(loaded.data),
+                  std::move(loaded.hierarchies)};
 }
 
 StatusOr<std::shared_ptr<const EncodedBundle>> DatasetCache::Encoded(

@@ -99,6 +99,21 @@ struct CachedModel {
   std::shared_ptr<const PropertyMatrix> matrix;
 };
 
+// A file-backed job's parsed inputs and the raw bytes they came from.
+struct LoadedInputs {
+  std::shared_ptr<const Dataset> data;
+  HierarchySet hierarchies;
+  std::string csv;             // The input file's bytes.
+  std::string hierarchy_spec;  // The hierarchy file's bytes, or empty.
+};
+
+// The one load sequence of file-backed inputs, cached or not: the schema
+// spec, the input CSV, then the hierarchy spec when `hierarchies_path` is
+// set. Returns the first failing step's Status.
+StatusOr<LoadedInputs> LoadInputFiles(const std::string& input_path,
+                                      const std::string& schema_spec,
+                                      const std::string& hierarchies_path);
+
 class DatasetCache {
  public:
   // What a job gets back from Resolve: shared immutable inputs plus the
@@ -114,11 +129,9 @@ class DatasetCache {
   DatasetCache(const DatasetCache&) = delete;
   DatasetCache& operator=(const DatasetCache&) = delete;
 
-  // Loads (or revalidates) the file-backed dataset request. The load
-  // sequence — parse schema, read input CSV, parse rows, read + parse the
-  // hierarchy spec — matches the uncached path statement for statement,
-  // so error Statuses are identical with the cache on or off.
-  // `hierarchies_path` may be empty (mondrian/cluster/perturb jobs).
+  // Loads (or revalidates) the file-backed dataset request through
+  // LoadInputFiles. `hierarchies_path` may be empty (mondrian/cluster/
+  // perturb jobs).
   StatusOr<Resolved> Resolve(const std::string& input_path,
                              const std::string& schema_spec,
                              const std::string& hierarchies_path);

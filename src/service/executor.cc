@@ -14,7 +14,6 @@
 #include "anonymize/optimal_lattice.h"
 #include "anonymize/perturb/perturb.h"
 #include "anonymize/samarati.h"
-#include "common/csv.h"
 #include "common/strings.h"
 #include "common/text_table.h"
 #include "core/compare_engine.h"
@@ -262,15 +261,10 @@ Status LoadInputs(const ParamMap& params, const std::string& label,
     job.hierarchies = job.resolved.hierarchies;
     return Status::Ok();
   }
-  MDC_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(schema_spec));
-  MDC_ASSIGN_OR_RETURN(std::string csv, ReadFileToString(input));
-  MDC_ASSIGN_OR_RETURN(Dataset parsed, Dataset::FromCsv(schema, csv));
-  job.data = std::make_shared<const Dataset>(std::move(parsed));
-  if (!hierarchies_path.empty()) {
-    MDC_ASSIGN_OR_RETURN(std::string spec, ReadFileToString(hierarchies_path));
-    MDC_ASSIGN_OR_RETURN(job.hierarchies,
-                         ParseHierarchySpec(job.data->schema(), spec));
-  }
+  MDC_ASSIGN_OR_RETURN(LoadedInputs loaded,
+                       LoadInputFiles(input, schema_spec, hierarchies_path));
+  job.data = std::move(loaded.data);
+  job.hierarchies = std::move(loaded.hierarchies);
   return Status::Ok();
 }
 

@@ -4,6 +4,8 @@
 #include <optional>
 #include <span>
 
+#include "utility/loss_metric.h"
+
 namespace mdc {
 
 StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
@@ -40,10 +42,8 @@ StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
       std::optional<double>& charge = label_charge[codes[r]];
       if (!charge.has_value()) {
         const std::string& label = labels[codes[r]];
-        size_t covered = 0;
-        for (const Value& v : distinct) {
-          if (hierarchy->Covers(label, v)) ++covered;
-        }
+        const size_t covered =
+            internal::CoveredCount(*hierarchy, distinct, label);
         if (covered == 0) {
           return Status::Internal("label '" + label +
                                   "' covers no present value");

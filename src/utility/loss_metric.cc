@@ -8,34 +8,23 @@
 namespace mdc {
 namespace {
 
-// Distinct ORIGINAL values of `column`, computed once per call site.
-std::vector<Value> DistinctOriginal(const Anonymization& anonymization,
-                                    size_t column) {
-  return anonymization.original->DistinctValues(column);
+Status NeedsScheme() {
+  return Status::FailedPrecondition(
+      "LossMetric requires a full-domain scheme (use ClassSpreadLoss for "
+      "multidimensional releases)");
 }
 
-}  // namespace
+Status NoHierarchy() {
+  return Status::InvalidArgument("column has no hierarchy in the scheme");
+}
 
-StatusOr<double> LossMetric::LabelLoss(const Anonymization& anonymization,
-                                       size_t column,
-                                       const std::string& label) {
-  if (!anonymization.scheme.has_value()) {
-    return Status::FailedPrecondition(
-        "LossMetric requires a full-domain scheme (use ClassSpreadLoss for "
-        "multidimensional releases)");
-  }
-  const ValueHierarchy* hierarchy =
-      anonymization.scheme->hierarchies().ForColumn(column);
-  if (hierarchy == nullptr) {
-    return Status::InvalidArgument("column has no hierarchy in the scheme");
-  }
-  std::vector<Value> distinct = DistinctOriginal(anonymization, column);
+// LabelLoss once the column's hierarchy and present values are known.
+StatusOr<double> ChargeLabel(const ValueHierarchy& hierarchy,
+                             const std::vector<Value>& distinct,
+                             const std::string& label) {
   const size_t total = distinct.size();
   if (total <= 1) return 0.0;
-  size_t covered = 0;
-  for (const Value& v : distinct) {
-    if (hierarchy->Covers(label, v)) ++covered;
-  }
+  const size_t covered = internal::CoveredCount(hierarchy, distinct, label);
   if (covered == 0) {
     return Status::Internal("label '" + label +
                             "' covers no present value of its column");
@@ -43,16 +32,39 @@ StatusOr<double> LossMetric::LabelLoss(const Anonymization& anonymization,
   return static_cast<double>(covered - 1) / static_cast<double>(total - 1);
 }
 
+}  // namespace
+
+size_t internal::CoveredCount(const ValueHierarchy& hierarchy,
+                              const std::vector<Value>& distinct,
+                              const std::string& label) {
+  size_t covered = 0;
+  for (const Value& v : distinct) {
+    if (hierarchy.Covers(label, v)) ++covered;
+  }
+  return covered;
+}
+
+StatusOr<double> LossMetric::LabelLoss(const Anonymization& anonymization,
+                                       size_t column,
+                                       const std::string& label) {
+  if (!anonymization.scheme.has_value()) return NeedsScheme();
+  const ValueHierarchy* hierarchy =
+      anonymization.scheme->hierarchies().ForColumn(column);
+  if (hierarchy == nullptr) return NoHierarchy();
+  return ChargeLabel(*hierarchy,
+                     anonymization.original->DistinctValues(column), label);
+}
+
 StatusOr<PropertyVector> LossMetric::PerTupleLoss(
     const Anonymization& anonymization) {
-  if (!anonymization.scheme.has_value()) {
-    return Status::FailedPrecondition(
-        "LossMetric requires a full-domain scheme (use ClassSpreadLoss for "
-        "multidimensional releases)");
-  }
+  if (!anonymization.scheme.has_value()) return NeedsScheme();
   const size_t rows = anonymization.row_count();
   std::vector<double> loss(rows, 0.0);
   for (size_t column : anonymization.qi_columns) {
+    const ValueHierarchy* hierarchy =
+        anonymization.scheme->hierarchies().ForColumn(column);
+    const std::vector<Value> distinct =
+        anonymization.original->DistinctValues(column);
     // One charge per label code, computed on the first row that uses it:
     // a label table may hold labels no row uses.
     const std::vector<std::string>& labels =
@@ -62,8 +74,9 @@ StatusOr<PropertyVector> LossMetric::PerTupleLoss(
     for (size_t r = 0; r < rows; ++r) {
       std::optional<double>& charge = label_loss[codes[r]];
       if (!charge.has_value()) {
+        if (hierarchy == nullptr) return NoHierarchy();
         MDC_ASSIGN_OR_RETURN(
-            charge, LabelLoss(anonymization, column, labels[codes[r]]));
+            charge, ChargeLabel(*hierarchy, distinct, labels[codes[r]]));
       }
       loss[r] += *charge;
     }

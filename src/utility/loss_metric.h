@@ -40,11 +40,22 @@ class LossMetric {
   static StatusOr<double> TotalLoss(const Anonymization& anonymization);
 
   // LM charge of a single label for `column` of the original data set:
-  // (covered-1)/(M-1) over distinct present values. Exposed for tests and
-  // for the entropy-loss metric which shares the coverage machinery.
+  // (covered-1)/(M-1) over distinct present values. The per-label
+  // reference: PerTupleLoss charges each label a row uses the same way,
+  // listing the column's present values once instead of once per label.
   static StatusOr<double> LabelLoss(const Anonymization& anonymization,
                                     size_t column, const std::string& label);
 };
+
+namespace internal {
+
+// How many of `distinct`, a column's present original values, `label`
+// covers: the one coverage count LM and the entropy metric charge from.
+size_t CoveredCount(const ValueHierarchy& hierarchy,
+                    const std::vector<Value>& distinct,
+                    const std::string& label);
+
+}  // namespace internal
 
 class ClassSpreadLoss {
  public:

@@ -7,13 +7,23 @@
 // full-domain search that runs on it to the same reference: Datafly and
 // the greedy walks against their loops over EvaluateNode, and the lattice
 // searches' best release against EvaluateNode(best_node).
+//
+// The grouping legs hold the one grouping kernel, FromCodeColumns, to an
+// ordered map over full code tuples at every key width, and FromColumns
+// (hence every EvaluateNode partition) to the string-keyed map it
+// replaced. The utility legs hold LM's per-tuple loss to its per-label
+// reference and the entropy metric to digests of its former output.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +39,7 @@
 #include "common/rng.h"
 #include "datagen/census_generator.h"
 #include "paper/paper_data.h"
+#include "utility/entropy_loss.h"
 #include "utility/loss_metric.h"
 
 namespace mdc {
@@ -85,6 +96,38 @@ void ExpectSamePartition(const EquivalencePartition& legacy,
   EXPECT_EQ(legacy.MinClassSize(), encoded.MinClassSize());
 }
 
+// The classes of `partition` must be `reference` in order, members and
+// ClassOfRow.
+void ExpectClasses(const EquivalencePartition& partition, size_t rows,
+                   const std::vector<std::vector<size_t>>& reference) {
+  ASSERT_EQ(partition.row_count(), rows);
+  ASSERT_EQ(partition.class_count(), reference.size());
+  for (size_t class_id = 0; class_id < reference.size(); ++class_id) {
+    EXPECT_EQ(partition.class_members(class_id), reference[class_id])
+        << "class " << class_id;
+    for (size_t row : reference[class_id]) {
+      ASSERT_EQ(partition.ClassOfRow(row), class_id) << "row " << row;
+    }
+  }
+}
+
+// The string-keyed grouping FromColumns ran before it encoded its columns:
+// an ordered map over each row's printed key cells.
+std::vector<std::vector<size_t>> StringKeyedClasses(
+    const Dataset& dataset, const std::vector<size_t>& columns) {
+  std::map<std::vector<std::string>, std::vector<size_t>> groups;
+  for (size_t row = 0; row < dataset.row_count(); ++row) {
+    std::vector<std::string> key;
+    for (size_t column : columns) {
+      key.push_back(dataset.cell(row, column).ToString());
+    }
+    groups[std::move(key)].push_back(row);
+  }
+  std::vector<std::vector<size_t>> classes;
+  for (auto& [key, members] : groups) classes.push_back(std::move(members));
+  return classes;
+}
+
 struct Policy {
   int k;
   double max_fraction;
@@ -117,6 +160,12 @@ TEST(EncodedEvalOracleTest, MatchesLegacyEvaluateNodeEverywhere) {
         auto legacy = EvaluateNode(workload.data, workload.hierarchies, node,
                                    policy.k, budget, "test");
         ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+        // EvaluateNode regroups its release (FromAnonymization) through the
+        // kernel the encoded path uses; the string-keyed map vouches for
+        // the reference itself.
+        const Anonymization& release = legacy->anonymization;
+        ExpectClasses(legacy->partition, release.row_count(),
+                      StringKeyedClasses(release.release, release.qi_columns));
         auto encoded = evaluator->Evaluate(node, policy.k, budget);
         ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
 
@@ -153,6 +202,8 @@ TEST(EncodedEvalOracleTest, MaterializeUnsuppressedMatchesApply) {
       ASSERT_TRUE(applied.ok());
       EquivalencePartition legacy =
           EquivalencePartition::FromAnonymization(*applied);
+      ExpectClasses(legacy, applied->row_count(),
+                    StringKeyedClasses(applied->release, applied->qi_columns));
 
       auto candidate = evaluator->MaterializeUnsuppressed(node, "test");
       ASSERT_TRUE(candidate.ok()) << candidate.status().ToString();
@@ -574,51 +625,250 @@ TEST(SearchOracleTest, UngeneralizableValueFailsLikeReference) {
   EXPECT_EQ(bottom_up.status().ToString(), at_bottom.status().ToString());
 }
 
-// FromCodeColumns' key paths — one packed uint64_t word, and the ordered
-// map fallback for tuples wider than 64 bits — must group identically.
-// Reference grouping computed with an ordered map over the full tuples.
+// ------------------------------------------------------- grouping kernel
+
+// A few codes per column, the largest included, so that classes of
+// several rows are common and each column's top bit is used.
+uint32_t DrawCode(Rng& rng, uint32_t cardinality) {
+  const uint32_t pick = static_cast<uint32_t>(rng.NextBelow(4));
+  return pick == 3 ? cardinality - 1 : pick * (cardinality / 3);
+}
+
+// FromCodeColumns packs each row's codes into one 64-bit key and, before a
+// column that would overflow it, regroups the prefix and restarts each key
+// at its prefix class rank. Every shape must group as an ordered map over
+// the full tuples does.
 TEST(FromCodeColumnsTest, AllKeyWidthsMatchReferenceGrouping) {
+  constexpr uint32_t kCard32 = 0xFFFFFFFFu;  // Codes need 32 bits.
   struct Shape {
-    size_t columns;
-    uint32_t cardinality;  // Same for every column.
+    std::string name;
+    std::vector<uint32_t> cardinalities;
+    size_t rows = 500;
   };
-  // 4 cols * 5 bits = 20 bits (uint64_t); 9 cols * 11 bits = 99 bits and
-  // 12 cols * 11 bits = 132 bits (both on the map fallback).
-  for (const Shape& shape :
-       {Shape{4, 20}, Shape{9, 1100}, Shape{12, 1100}}) {
-    SCOPED_TRACE(std::to_string(shape.columns) + " cols, card " +
-                 std::to_string(shape.cardinality));
-    const size_t rows = 500;
-    Rng rng(shape.columns * 1000 + shape.cardinality);
+  const std::vector<Shape> shapes = {
+      {"20 bits", std::vector<uint32_t>(4, 20)},
+      {"63 bits", std::vector<uint32_t>(7, 512)},
+      {"64 bits", std::vector<uint32_t>(8, 256)},
+      {"64 bits in two 32-bit columns", {kCard32, kCard32}},
+      {"65 bits: refinement before the last column",
+       std::vector<uint32_t>(5, 8192)},
+      {"refinement at the earliest column it can happen (the third)",
+       {kCard32, kCard32, 3, 5}},
+      {"99 bits: one refinement in the middle", std::vector<uint32_t>(9, 1100)},
+      {"132 bits: two refinements", std::vector<uint32_t>(12, 1100)},
+      {"32-bit columns: a refinement before each from the third",
+       std::vector<uint32_t>(6, kCard32)},
+      {"cardinalities 1 and 2", {1, 2, 1, 2, 2}},
+      {"near 2^32, with a constant column between",
+       {0x80000001u, 1, kCard32, 0xFFFFFFFEu, 2}},
+      {"cardinality 0 over no rows", {0, 3}, 0},
+      {"no columns", {}},
+      {"no columns, no rows", {}, 0},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const size_t columns = shape.cardinalities.size();
+    Rng rng(columns * 1000 + shape.rows);
     std::vector<std::vector<uint32_t>> code_columns(
-        shape.columns, std::vector<uint32_t>(rows));
-    std::vector<uint32_t> cardinalities(shape.columns, shape.cardinality);
-    for (auto& column : code_columns) {
-      for (uint32_t& code : column) {
-        // Small draw range so collisions (multi-row classes) are common.
-        code = static_cast<uint32_t>(rng.NextBelow(7)) *
-               (shape.cardinality / 8);
+        columns, std::vector<uint32_t>(shape.rows));
+    for (size_t c = 0; c < columns; ++c) {
+      for (uint32_t& code : code_columns[c]) {
+        code = DrawCode(rng, shape.cardinalities[c]);
       }
     }
 
-    std::map<std::vector<uint32_t>, std::vector<size_t>> reference;
-    for (size_t row = 0; row < rows; ++row) {
-      std::vector<uint32_t> key(shape.columns);
-      for (size_t c = 0; c < shape.columns; ++c) {
-        key[c] = code_columns[c][row];
-      }
-      reference[std::move(key)].push_back(row);
+    std::map<std::vector<uint32_t>, std::vector<size_t>> groups;
+    for (size_t row = 0; row < shape.rows; ++row) {
+      std::vector<uint32_t> key(columns);
+      for (size_t c = 0; c < columns; ++c) key[c] = code_columns[c][row];
+      groups[std::move(key)].push_back(row);
     }
+    std::vector<std::vector<size_t>> reference;
+    for (auto& [key, members] : groups) reference.push_back(members);
 
-    EquivalencePartition partition = EquivalencePartition::FromCodeColumns(
-        rows, code_columns, cardinalities);
-    ASSERT_EQ(partition.class_count(), reference.size());
-    size_t class_id = 0;
-    for (const auto& [key, members] : reference) {
-      EXPECT_EQ(partition.class_members(class_id), members)
-          << "class " << class_id;
-      ++class_id;
+    const EquivalencePartition partition =
+        EquivalencePartition::FromCodeColumns(
+            shape.rows,
+            std::vector<std::span<const uint32_t>>(code_columns.begin(),
+                                                   code_columns.end()),
+            shape.cardinalities);
+    ExpectClasses(partition, shape.rows, reference);
+  }
+}
+
+// Random string columns, whose dictionaries are in first-seen order and
+// hold entries no row uses: FromColumns must group exactly as the
+// string-keyed map did, for 0, 1 and 5 key columns over 0, 1 and 500 rows.
+TEST(FromColumnsTest, StringColumnsMatchStringKeyedGrouping) {
+  const std::vector<std::string> pieces = {"", "a", "b", "*", "1", "9", "10"};
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{500}}) {
+    Rng rng(rows + 17);
+    std::vector<AttributeDef> attributes;
+    std::vector<Dataset::Column> data;
+    for (size_t c = 0; c < 6; ++c) {
+      attributes.push_back({"s" + std::to_string(c), AttributeType::kString,
+                            AttributeRole::kQuasiIdentifier});
+      std::set<std::string> entries;
+      const size_t wanted = 2 + rng.NextBelow(8);
+      while (entries.size() < wanted) {
+        entries.insert(pieces[rng.NextBelow(pieces.size())] +
+                       pieces[rng.NextBelow(pieces.size())]);
+      }
+      Dataset::Column column;
+      column.dictionary.assign(entries.begin(), entries.end());
+      rng.Shuffle(column.dictionary);
+      // Rows use a prefix of the dictionary: the rest stays unused.
+      const size_t used = 1 + rng.NextBelow(column.dictionary.size());
+      for (size_t r = 0; r < rows; ++r) {
+        column.codes.push_back(static_cast<uint32_t>(rng.NextBelow(used)));
+      }
+      data.push_back(std::move(column));
     }
+    attributes.push_back(
+        {"n", AttributeType::kInt, AttributeRole::kSensitive});
+    Dataset::Column numbers;
+    for (size_t r = 0; r < rows; ++r) {
+      numbers.ints.push_back(static_cast<int64_t>(rng.NextBelow(5)));
+    }
+    data.push_back(std::move(numbers));
+    auto schema = Schema::Create(attributes);
+    ASSERT_TRUE(schema.ok());
+    auto dataset = Dataset::FromColumns(*schema, std::move(data));
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+
+    for (const std::vector<size_t>& columns :
+         {std::vector<size_t>{}, std::vector<size_t>{3},
+          std::vector<size_t>{5, 0, 2, 1, 4}}) {
+      SCOPED_TRACE(std::to_string(rows) + " rows, " +
+                   std::to_string(columns.size()) + " key columns");
+      ExpectClasses(EquivalencePartition::FromColumns(*dataset, columns),
+                    rows, StringKeyedClasses(*dataset, columns));
+    }
+  }
+}
+
+// Numeric key columns group by value, not by printed text: classes order
+// by number, -0.0 and +0.0 share a class, and reals that print alike but
+// differ stay apart. (No release groups by a numeric column: generalized
+// QI columns are strings.)
+TEST(FromColumnsTest, NumericColumnsGroupByValue) {
+  auto schema = Schema::Create(
+      {{"i", AttributeType::kInt, AttributeRole::kQuasiIdentifier},
+       {"x", AttributeType::kReal, AttributeRole::kQuasiIdentifier}});
+  ASSERT_TRUE(schema.ok());
+  Dataset data(*schema);
+  const std::pair<int64_t, double> rows[] = {
+      {10, -0.0}, {9, 0.0}, {100, 1.0000001}, {9, 1.0000002}, {10, 0.0}};
+  for (const auto& [i, x] : rows) {
+    ASSERT_TRUE(data.AppendRow({Value(i), Value(x)}).ok());
+  }
+  ASSERT_EQ(data.cell(2, 1).ToString(), data.cell(3, 1).ToString());
+  ExpectClasses(EquivalencePartition::FromColumns(data, {0}), 5,
+                {{1, 3}, {0, 4}, {2}});
+  ExpectClasses(EquivalencePartition::FromColumns(data, {1}), 5,
+                {{0, 1, 4}, {2}, {3}});
+  ExpectClasses(EquivalencePartition::FromColumns(data, {0, 1}), 5,
+                {{1}, {3}, {0, 4}, {2}});
+}
+
+// ------------------------------------------------------- LM and entropy
+
+// The release the utility legs score for each lattice node: the encoded
+// evaluator's at k=5 with up to 20% of rows starred (unsuppressed where
+// that does not fit), which the oracle above holds to EvaluateNode's.
+Anonymization NodeRelease(const EncodedNodeEvaluator& evaluator,
+                          const LatticeNode& node) {
+  auto evaluation = evaluator.Evaluate(node, 5, SuppressionBudget{0.2});
+  MDC_CHECK(evaluation.ok());
+  auto materialized = evaluator.Materialize(node, *evaluation, "test");
+  MDC_CHECK(materialized.ok());
+  return std::move(materialized->anonymization);
+}
+
+// PerTupleLoss lists each column's present values once; the per-label
+// LabelLoss is the reference. Each tuple's loss must equal the sum, in QI
+// column order, of its cells' LabelLoss, bit for bit. A label's LabelLoss
+// depends only on the original column, its hierarchy and the label, so
+// each is asked once per workload.
+TEST(LossMetricOracleTest, PerTupleLossIsThePerCellSumOfLabelLoss) {
+  size_t starred = 0;
+  for (const Workload& workload : Workloads()) {
+    SCOPED_TRACE(workload.name);
+    auto lattice = Lattice::ForHierarchies(workload.hierarchies);
+    ASSERT_TRUE(lattice.ok());
+    auto evaluator =
+        EncodedNodeEvaluator::Build(workload.data, workload.hierarchies);
+    ASSERT_TRUE(evaluator.ok());
+    std::map<std::pair<size_t, std::string>, double> label_loss;
+    for (const LatticeNode& node : lattice->AllNodesByHeight()) {
+      SCOPED_TRACE(Lattice::ToString(node));
+      const Anonymization release = NodeRelease(*evaluator, node);
+      auto loss = LossMetric::PerTupleLoss(release);
+      ASSERT_TRUE(loss.ok()) << loss.status().ToString();
+      std::vector<double> expected(release.row_count(), 0.0);
+      for (size_t column : release.qi_columns) {
+        const std::vector<std::string>& labels =
+            release.release.dictionary(column);
+        const std::span<const uint32_t> codes = release.release.codes(column);
+        std::vector<std::optional<double>> charges(labels.size());
+        for (size_t row = 0; row < release.row_count(); ++row) {
+          std::optional<double>& charge = charges[codes[row]];
+          if (!charge.has_value()) {
+            const std::string& label = labels[codes[row]];
+            auto [it, inserted] = label_loss.try_emplace({column, label});
+            if (inserted) {
+              auto reference = LossMetric::LabelLoss(release, column, label);
+              ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+              it->second = *reference;
+            }
+            charge = it->second;
+          }
+          expected[row] += *charge;
+        }
+      }
+      for (size_t row = 0; row < release.row_count(); ++row) {
+        ASSERT_EQ(std::bit_cast<uint64_t>((*loss)[row]),
+                  std::bit_cast<uint64_t>(expected[row]))
+            << "row " << row;
+      }
+      starred += std::count(release.suppressed.begin(),
+                            release.suppressed.end(), true);
+    }
+  }
+  EXPECT_GT(starred, 0u);  // Starred cells were charged too.
+}
+
+// EntropyLoss counts coverage through LossMetric's helper; its per-tuple
+// losses keep the exact bits of its former copy of the loop, pinned as one
+// FNV-1a digest of every node's vector per workload.
+TEST(LossMetricOracleTest, EntropyLossKeepsItsDigests) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"table1", 0x68dbb36c54983512ull},
+      {"census_rows60_seed7", 0x5154e4162cf17916ull},
+      {"census_rows120_seed1234", 0xb45012a1296434d5ull},
+      {"census_rows200_seed99", 0xcbc1e556e4b33909ull},
+  };
+  for (const Workload& workload : Workloads()) {
+    SCOPED_TRACE(workload.name);
+    auto lattice = Lattice::ForHierarchies(workload.hierarchies);
+    ASSERT_TRUE(lattice.ok());
+    auto evaluator =
+        EncodedNodeEvaluator::Build(workload.data, workload.hierarchies);
+    ASSERT_TRUE(evaluator.ok());
+    uint64_t digest = 1469598103934665603ull;
+    for (const LatticeNode& node : lattice->AllNodesByHeight()) {
+      auto loss = EntropyLoss::PerTupleLoss(NodeRelease(*evaluator, node));
+      ASSERT_TRUE(loss.ok()) << loss.status().ToString();
+      for (double value : loss->values()) {
+        const uint64_t bits = std::bit_cast<uint64_t>(value);
+        for (int byte = 0; byte < 8; ++byte) {
+          digest ^= (bits >> (8 * byte)) & 0xff;
+          digest *= 1099511628211ull;
+        }
+      }
+    }
+    EXPECT_EQ(digest, pinned.at(workload.name))
+        << std::hex << "0x" << digest << "ull";
   }
 }
 

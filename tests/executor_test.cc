@@ -235,6 +235,52 @@ TEST(ExecutorTest, PreflightFailsBeforeTheInputIsRead) {
       << missing.status.ToString();
 }
 
+// File-backed inputs load through one sequence whether the dataset cache
+// is on or off, so each failing step returns the same Status both ways.
+TEST(ExecutorTest, LoadErrorsMatchWithAndWithoutTheCache) {
+  const std::string bad_csv = NumericInput() + ".ragged.csv";
+  ASSERT_TRUE(DurableWriteFile(bad_csv, "a,b,c\n1,2,3\n4,5\n").ok());
+  const std::string bad_spec = NumericInput() + ".bad.spec";
+  ASSERT_TRUE(DurableWriteFile(bad_spec, "column a nonsense\n").ok());
+  struct Case {
+    std::string name;
+    Params params;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"bad schema spec",
+       {{"input", NumericInput()}, {"schema", "a:int:qi,b:bogus"}},
+       StatusCode::kInvalidArgument},
+      {"missing input",
+       {{"input", "/nonexistent/mdc_load.csv"}, {"schema", kNumericSchema}},
+       StatusCode::kNotFound},
+      {"malformed csv",
+       {{"input", bad_csv}, {"schema", kNumericSchema}},
+       StatusCode::kInvalidArgument},
+      {"missing hierarchy file",
+       {{"input", NumericInput()},
+        {"schema", kNumericSchema},
+        {"hierarchies", "/nonexistent/mdc_load.spec"}},
+       StatusCode::kNotFound},
+      {"malformed hierarchy spec",
+       {{"input", NumericInput()},
+        {"schema", kNumericSchema},
+        {"hierarchies", bad_spec}},
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Params params = c.params;
+    params["algorithm"] = "mondrian";
+    DatasetCache cache(DatasetCacheConfig{});
+    auto uncached = Exec(Spec("anonymize", params, "load"));
+    auto cached = Exec(Spec("anonymize", params, "load"), nullptr, {}, &cache);
+    EXPECT_EQ(uncached.status.code(), c.code) << uncached.status.ToString();
+    EXPECT_EQ(cached.status.ToString(), uncached.status.ToString());
+    EXPECT_EQ(cache.GetStats().entries, 0u);
+  }
+}
+
 TEST(ExecutorTest, RejectsNumbersOutsideTheirRange) {
   // k must fit in int rather than truncate (4294967299 would run as k=3);
   // max_suppression must be a fraction in [0, 1] (a negative or NaN value
