@@ -4,10 +4,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "anonymize/equivalence.h"
 #include "anonymize/generalizer.h"
+#include "anonymize/perturb/perturb.h"
+#include "common/csv.h"
 #include "common/rng.h"
 #include "datagen/census_generator.h"
 #include "privacy/t_closeness.h"
@@ -83,6 +86,64 @@ void BM_DatasetToCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetToCsv)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kMillisecond);
+
+// ToCsv's bytes for a dataset of more than one column, with every real
+// printed by snprintf's "%.6f" and its trailing zeros dropped.
+std::string SnprintfCsv(const Dataset& data) {
+  const size_t m = data.column_count();
+  std::string out;
+  for (size_t c = 0; c < m; ++c) {
+    if (c > 0) out += ',';
+    out += CsvEscape(data.schema().attribute(c).name);
+  }
+  out += '\n';
+  char buffer[512];
+  for (size_t r = 0; r < data.row_count(); ++r) {
+    for (size_t c = 0; c < m; ++c) {
+      if (c > 0) out += ',';
+      const Value cell = data.cell(r, c);
+      if (cell.is_int()) {
+        out += std::to_string(cell.AsInt());
+      } else if (cell.is_real()) {
+        std::snprintf(buffer, sizeof(buffer), "%.6f", cell.AsReal());
+        std::string text = buffer;
+        if (text.find('.') != std::string::npos) {
+          size_t last = text.find_last_not_of('0');
+          if (text[last] == '.') --last;
+          text.erase(last + 1);
+        }
+        out += text;
+      } else {
+        out += CsvEscape(cell.AsString());
+      }
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+// The render `serve` persists for a rank-swap job: the census release
+// whose age column rank swapping turned into reals.
+void BM_RealColumnToCsv(benchmark::State& state) {
+  CensusConfig config;
+  config.rows = static_cast<size_t>(state.range(0));
+  config.seed = 7;
+  auto census = GenerateCensus(config);
+  MDC_CHECK(census.ok());
+  PerturbConfig perturb;
+  perturb.mechanism = PerturbMechanism::kRankSwap;
+  auto swapped = PerturbAnonymize(census->data, perturb);
+  MDC_CHECK(swapped.ok());
+  const Dataset& release = swapped->anonymization.release;
+  const std::string reference = SnprintfCsv(release);
+  for (auto _ : state) {
+    std::string text = release.ToCsv();
+    benchmark::DoNotOptimize(text.data());
+    MDC_CHECK(text == reference);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RealColumnToCsv)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_GeneralizeRelease(benchmark::State& state) {
   CensusData census = MakeCensus(static_cast<size_t>(state.range(0)));

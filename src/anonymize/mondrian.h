@@ -15,11 +15,12 @@
 //
 // The partitioning runs on the dictionary codes of the QI columns
 // (table/encoded_view.h), whose order is the Value order: a spread is a
-// min/max or distinct count over u32, a median cut is a selection plus a
-// counting pass, and each finished partition's labels are built once from
-// its min and max codes. The equivalence partition is emitted directly
-// (classes in label-tuple order, partitions that print the same labels
-// merged), never regrouped from the release strings.
+// min/max or distinct count over u32, a median cut counts the range's
+// codes into a histogram (a selection plus a counting pass when they span
+// more values than the range has rows), and a label is formatted once per
+// (min code, max code) pair of its position. The equivalence partition is
+// emitted directly (classes in label-tuple order, partitions that print
+// the same labels merged), never regrouped from the release strings.
 
 #ifndef MDC_ANONYMIZE_MONDRIAN_H_
 #define MDC_ANONYMIZE_MONDRIAN_H_

@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
+
+#include "common/check.h"
 
 namespace mdc {
 
@@ -57,15 +58,18 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 }
 
 std::optional<int64_t> ParseInt64(std::string_view text) {
-  std::string buffer(StripWhitespace(text));
-  if (buffer.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (errno == ERANGE || end != buffer.c_str() + buffer.size()) {
-    return std::nullopt;
+  // strtoll's base-10 grammar: an optional sign, then digits. from_chars
+  // takes no '+', so it is stripped here, and a second sign still fails.
+  std::string_view digits = StripWhitespace(text);
+  if (!digits.empty() && digits.front() == '+') {
+    digits.remove_prefix(1);
+    if (!digits.empty() && digits.front() == '-') return std::nullopt;
   }
-  return static_cast<int64_t>(value);
+  int64_t value = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, error] = std::from_chars(digits.data(), end, value);
+  if (error != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 std::optional<double> ParseDouble(std::string_view text) {
@@ -81,9 +85,15 @@ std::optional<double> ParseDouble(std::string_view text) {
 }
 
 std::string FormatDouble(double value, int digits) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
-  return buffer;
+  // to_chars in fixed format with a precision prints what printf's "%.*f"
+  // prints, a negative count meaning 6. The buffer holds the sign, DBL_MAX's
+  // 309 integer digits, the point and 100 digits.
+  MDC_CHECK_LE(digits, 100);
+  char buffer[411];
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                            std::chars_format::fixed, digits)
+                  .ptr;
+  return std::string(buffer, end);
 }
 
 std::string FormatCompact(double value, int max_digits) {

@@ -30,7 +30,8 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 std::optional<int64_t> ParseInt64(std::string_view text);
 std::optional<double> ParseDouble(std::string_view text);
 
-// Formats `value` with `digits` digits after the decimal point.
+// Formats `value` with `digits` digits after the decimal point, as
+// printf's "%.*f" does. `digits` is at most 100.
 std::string FormatDouble(double value, int digits);
 
 // Formats a double the way the paper prints numbers: trailing zeros after

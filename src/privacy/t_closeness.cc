@@ -34,10 +34,25 @@ StatusOr<std::vector<double>> EmdPerClass(
   MDC_ASSIGN_OR_RETURN(size_t column,
                        ResolveSensitiveColumn(anonymization.release.schema(),
                                               sensitive_column));
-  // Global support (std::map keys are sorted — the "ordered" ground
-  // distance uses this order).
-  std::map<std::string, size_t> global =
+  // Global support, keyed by printed value. The ordered ground distance
+  // spaces it in the column's order: as text for a string column (the
+  // map's order), by value for a number column. The equal ground keeps the
+  // map's order, and with it the order of its sum.
+  std::map<std::string, size_t> counted =
       GlobalSensitiveCounts(anonymization, column);
+  std::vector<std::pair<std::string, size_t>> global(counted.begin(),
+                                                     counted.end());
+  const AttributeType type =
+      anonymization.original->schema().attribute(column).type;
+  if (ground == GroundDistance::kOrdered && type != AttributeType::kString) {
+    auto number = [type](const std::string& text) {
+      return *Value::Parse(text, type);
+    };
+    std::stable_sort(global.begin(), global.end(),
+                     [&number](const auto& a, const auto& b) {
+                       return number(a.first) < number(b.first);
+                     });
+  }
   std::vector<std::string> support;
   std::vector<double> global_p;
   double total = static_cast<double>(anonymization.release.row_count());

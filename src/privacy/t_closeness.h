@@ -5,7 +5,8 @@
 // Two ground distances are implemented, following the original paper:
 //  - kEqual: every pair of distinct values is at distance 1; EMD reduces
 //    to total variation distance, (1/2) * Σ |p_i - q_i|.
-//  - kOrdered: values are equally spaced on a line in sorted order; EMD is
+//  - kOrdered: values are equally spaced on a line in sorted order (by
+//    value for an int or real column, as text for a string column); EMD is
 //    (1/(m-1)) * Σ_i |Σ_{j<=i} (p_j - q_j)| (the cumulative-sum formula).
 
 #ifndef MDC_PRIVACY_T_CLOSENESS_H_

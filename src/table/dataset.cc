@@ -289,6 +289,10 @@ StatusOr<Dataset> Dataset::FromCsv(const Schema& schema,
   dataset.ReserveRows(
       std::min(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
                text.size() / std::max<size_t>(arity, 2)));
+  std::vector<AttributeType> types;
+  for (const AttributeDef& attr : schema.attributes()) {
+    types.push_back(attr.type);
+  }
   size_t records = 0;
   // The first header or cell error in document order. Tokenizing goes on
   // past it: a syntax error anywhere in the text takes precedence.
@@ -316,17 +320,23 @@ StatusOr<Dataset> Dataset::FromCsv(const Schema& schema,
     }
     for (size_t c = 0; c < arity; ++c) {
       Column& column = dataset.columns_[c];
-      const AttributeType type = schema.attribute(c).type;
-      if (type == AttributeType::kString) {
-        column.codes.push_back(
-            dataset.interners_[c].Intern(fields[c], column.dictionary));
-        continue;
-      }
-      MDC_ASSIGN_OR_RETURN(Value value, Value::Parse(fields[c], type));
-      if (type == AttributeType::kInt) {
-        column.ints.push_back(value.AsInt());
-      } else {
-        column.reals.push_back(value.AsReal());
+      switch (types[c]) {
+        case AttributeType::kString:
+          column.codes.push_back(
+              dataset.interners_[c].Intern(fields[c], column.dictionary));
+          break;
+        case AttributeType::kInt:
+          // Value::Parse's grammar; on a bad cell, its status.
+          if (std::optional<int64_t> value = ParseInt64(fields[c])) {
+            column.ints.push_back(*value);
+            break;
+          }
+          return Value::Parse(fields[c], types[c]).status();
+        case AttributeType::kReal: {
+          MDC_ASSIGN_OR_RETURN(Value value, Value::Parse(fields[c], types[c]));
+          column.reals.push_back(value.AsReal());
+          break;
+        }
       }
     }
     ++dataset.row_count_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "anonymize/equivalence.h"
+#include "anonymize/mondrian.h"
 #include "paper/paper_data.h"
 
 namespace mdc {
@@ -129,6 +130,68 @@ TEST(TClosenessTest, SatisfiesThreshold) {
   EXPECT_FALSE(strict.Satisfies(t3a.anonymization, t3a.partition));
   EXPECT_TRUE(loose.Satisfies(t3a.anonymization, t3a.partition));
   EXPECT_FALSE(strict.HigherIsStronger());
+}
+
+// Six rows, an age QI and a salary drawn from {9, 10, 100}: Mondrian at
+// k = 3 cuts the ages 20-22 from 40-42, whose salaries are (9, 10, 9) and
+// (100, 10, 100), against a global distribution of 1/3 each.
+MondrianResult SalaryRelease(AttributeType salary_type,
+                             const std::vector<std::string>& salaries) {
+  auto schema = Schema::Create(
+      {{"age", AttributeType::kInt, AttributeRole::kQuasiIdentifier},
+       {"salary", salary_type, AttributeRole::kSensitive}});
+  MDC_CHECK(schema.ok());
+  auto data = std::make_shared<Dataset>(*schema);
+  const int64_t ages[] = {20, 21, 22, 40, 41, 42};
+  for (size_t i = 0; i < 6; ++i) {
+    auto salary = Value::Parse(salaries[i], salary_type);
+    MDC_CHECK(salary.ok());
+    MDC_CHECK(data->AppendRow({Value(ages[i]), *salary}).ok());
+  }
+  MondrianConfig config;
+  config.k = 3;
+  auto result = MondrianAnonymize(data, config);
+  MDC_CHECK(result.ok());
+  MDC_CHECK(result->partition.class_count() == 2);
+  return std::move(result).value();
+}
+
+TEST(TClosenessTest, OrderedGroundOrdersNumbersByValue) {
+  // In value order each class moves 1/3 of its mass across one step of
+  // two: EMD 1/3. Ordered as text ("10" < "100" < "9") it would be 1/6.
+  const std::vector<std::pair<AttributeType, std::vector<std::string>>>
+      columns = {
+          {AttributeType::kInt, {"9", "10", "9", "100", "10", "100"}},
+          {AttributeType::kReal,
+           {"9.5", "10.5", "9.5", "100.5", "10.5", "100.5"}},
+      };
+  for (const auto& [type, salaries] : columns) {
+    MondrianResult release = SalaryRelease(type, salaries);
+    auto ordered = EmdPerClass(release.anonymization, release.partition,
+                               GroundDistance::kOrdered, std::nullopt);
+    ASSERT_TRUE(ordered.ok());
+    ASSERT_EQ(ordered->size(), 2u);
+    for (double emd : *ordered) EXPECT_NEAR(emd, 1.0 / 3.0, 1e-12);
+    auto equal = EmdPerClass(release.anonymization, release.partition,
+                             GroundDistance::kEqual, std::nullopt);
+    ASSERT_TRUE(equal.ok());
+    for (double emd : *equal) EXPECT_NEAR(emd, 1.0 / 3.0, 1e-12);
+    EXPECT_NEAR(TCloseness(1.0, GroundDistance::kOrdered)
+                    .Measure(release.anonymization, release.partition),
+                1.0 / 3.0, 1e-12);
+  }
+}
+
+TEST(TClosenessTest, OrderedGroundOrdersStringsAsText) {
+  // The same cells in a string column keep the text order, and with it
+  // the EMD of 1/6 per class.
+  MondrianResult release = SalaryRelease(
+      AttributeType::kString, {"9", "10", "9", "100", "10", "100"});
+  auto ordered = EmdPerClass(release.anonymization, release.partition,
+                             GroundDistance::kOrdered, std::nullopt);
+  ASSERT_TRUE(ordered.ok());
+  ASSERT_EQ(ordered->size(), 2u);
+  for (double emd : *ordered) EXPECT_NEAR(emd, 1.0 / 6.0, 1e-12);
 }
 
 TEST(TClosenessTest, NameIncludesGround) {
