@@ -135,9 +135,8 @@ int main() {
     // 1 + class size keeps entries > 1 so products stay finite-positive
     // in log space... use log-scaled sizes to avoid overflow.
     std::vector<double> logs;
-    for (double v : EquivalenceClassSizeVector(release.partition).values()) {
-      logs.push_back(1.0 + std::log(v));
-    }
+    const PropertyVector sizes = EquivalenceClassSizeVector(release.partition);
+    for (double v : sizes.values()) logs.push_back(1.0 + std::log(v));
     privacy.push_back(PropertyVector("log-size", std::move(logs)));
   }
   for (size_t i = 0; i < releases.size(); ++i) {

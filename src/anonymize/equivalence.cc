@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "common/metrics.h"
 #include "table/encoded_view.h"
@@ -214,6 +215,28 @@ size_t EquivalencePartition::ClassOfRow(size_t row) const {
 size_t EquivalencePartition::ClassSize(size_t class_id) const {
   MDC_CHECK_LT(class_id, class_count());
   return offsets_[class_id + 1] - offsets_[class_id];
+}
+
+ClassCodeCounts EquivalencePartition::CountCodes(
+    std::span<const uint32_t> codes, size_t cardinality) const {
+  MDC_CHECK_EQ(codes.size(), row_count());
+  ClassCodeCounts out{{}, {}, {0}};
+  // Bins shared by every class: a code's first row in a class lists it,
+  // and the class's listed bins are read and cleared when the class ends.
+  std::vector<size_t> bins(cardinality, 0);
+  for (ClassSpan members : classes()) {
+    const size_t first = out.codes.size();
+    for (size_t row : members) {
+      MDC_CHECK_LT(codes[row], cardinality);
+      if (bins[codes[row]]++ == 0) out.codes.push_back(codes[row]);
+    }
+    std::sort(out.codes.begin() + first, out.codes.end());
+    for (size_t i = first; i < out.codes.size(); ++i) {
+      out.counts.push_back(std::exchange(bins[out.codes[i]], 0));
+    }
+    out.offsets.push_back(out.codes.size());
+  }
+  return out;
 }
 
 std::vector<double> EquivalencePartition::ClassSizePerRow() const {

@@ -72,6 +72,25 @@ class ClassSpan {
 
 class EquivalencePartition;
 
+// Per-class histograms of one code column (EquivalencePartition::
+// CountCodes), CSR-shaped like the partition: class c's distinct codes in
+// ascending order are codes[offsets[c] .. offsets[c+1]), and counts holds
+// each one's row count at the same position.
+struct ClassCodeCounts {
+  std::vector<uint32_t> codes;
+  std::vector<size_t> counts;
+  std::vector<size_t> offsets;
+
+  std::span<const uint32_t> codes_of(size_t class_id) const {
+    return {codes.data() + offsets[class_id],
+            offsets[class_id + 1] - offsets[class_id]};
+  }
+  std::span<const size_t> counts_of(size_t class_id) const {
+    return {counts.data() + offsets[class_id],
+            offsets[class_id + 1] - offsets[class_id]};
+  }
+};
+
 // Iterable range over a partition's classes, in canonical class order.
 // Dereferencing yields ClassSpan values.
 class ClassRange {
@@ -178,6 +197,13 @@ class EquivalencePartition {
 
   size_t ClassOfRow(size_t row) const;
   size_t ClassSize(size_t class_id) const;
+
+  // Each class's distinct codes of the row-aligned `codes` (every code
+  // below `cardinality`) with their row counts. Over value-ordered codes
+  // (EncodedView) a class's entries come in value order, so every
+  // per-class statistic names a value the same way: by its code.
+  ClassCodeCounts CountCodes(std::span<const uint32_t> codes,
+                             size_t cardinality) const;
 
   // classes()[ClassOfRow(row)].size() for each row — the raw material of
   // the paper's equivalence-class-size property vector.

@@ -1,5 +1,8 @@
 #include "core/properties.h"
 
+#include <algorithm>
+#include <span>
+
 #include "privacy/privacy_model.h"
 
 namespace mdc {
@@ -16,20 +19,19 @@ StatusOr<PropertyVector> SensitiveCountVector(
   MDC_ASSIGN_OR_RETURN(size_t column,
                        ResolveSensitiveColumn(anonymization.release.schema(),
                                               sensitive_column));
-  const Dataset& original = *anonymization.original;
-  const bool is_string =
-      original.schema().attribute(column).type == AttributeType::kString;
+  const SensitiveCodeCounts sensitive =
+      CountSensitive(anonymization, partition, column);
+  const std::span<const uint32_t> codes = sensitive.view.codes(0);
   std::vector<double> counts(anonymization.row_count(), 0.0);
   for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
-    std::map<std::string, size_t> class_counts =
-        SensitiveCounts(anonymization, partition, class_id, column);
+    const std::span<const uint32_t> present =
+        sensitive.per_class.codes_of(class_id);
+    const std::span<const size_t> count_of =
+        sensitive.per_class.counts_of(class_id);
     for (size_t row : partition.class_members(class_id)) {
-      const size_t count =
-          is_string
-              ? class_counts.at(
-                    original.dictionary(column)[original.codes(column)[row]])
-              : class_counts.at(original.cell(row, column).ToString());
-      counts[row] = static_cast<double>(count);
+      const auto at =
+          std::lower_bound(present.begin(), present.end(), codes[row]);
+      counts[row] = static_cast<double>(count_of[at - present.begin()]);
     }
   }
   return PropertyVector("sensitive-count", std::move(counts));

@@ -3,33 +3,28 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/strings.h"
 
 namespace mdc {
 namespace {
 
-// Per-class sensitive counts (descending) for active classes.
-std::vector<std::vector<size_t>> CountVectorsPerActiveClass(
+// Each active class's sensitive counts, in code order (value order).
+StatusOr<std::vector<std::vector<size_t>>> CountsPerActiveClass(
     const Anonymization& anonymization, const EquivalencePartition& partition,
     std::optional<size_t> sensitive_column) {
-  auto column = ResolveSensitiveColumn(anonymization.release.schema(),
-                                       sensitive_column);
-  MDC_CHECK_MSG(column.ok(),
-                "l-diversity model used without a resolvable sensitive "
-                "column");
+  MDC_ASSIGN_OR_RETURN(size_t column,
+                       ResolveSensitiveColumn(anonymization.release.schema(),
+                                              sensitive_column));
+  const ClassCodeCounts counts =
+      CountSensitive(anonymization, partition, column).per_class;
   std::vector<std::vector<size_t>> out;
   for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
-    if (!ClassIsActive(partition, class_id, anonymization.suppressed)) {
-      continue;
+    if (ClassIsActive(partition, class_id, anonymization.suppressed)) {
+      const std::span<const size_t> of_class = counts.counts_of(class_id);
+      out.emplace_back(of_class.begin(), of_class.end());
     }
-    std::map<std::string, size_t> counts =
-        SensitiveCounts(anonymization, partition, class_id, *column);
-    std::vector<size_t> sorted;
-    sorted.reserve(counts.size());
-    for (const auto& [value, count] : counts) sorted.push_back(count);
-    std::sort(sorted.begin(), sorted.end(), std::greater<size_t>());
-    out.push_back(std::move(sorted));
   }
   return out;
 }
@@ -39,16 +34,12 @@ std::vector<std::vector<size_t>> CountVectorsPerActiveClass(
 StatusOr<std::vector<size_t>> DistinctSensitivePerClass(
     const Anonymization& anonymization, const EquivalencePartition& partition,
     std::optional<size_t> sensitive_column) {
-  MDC_ASSIGN_OR_RETURN(size_t column,
-                       ResolveSensitiveColumn(anonymization.release.schema(),
-                                              sensitive_column));
+  MDC_ASSIGN_OR_RETURN(
+      auto classes,
+      CountsPerActiveClass(anonymization, partition, sensitive_column));
   std::vector<size_t> out;
-  for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
-    if (!ClassIsActive(partition, class_id, anonymization.suppressed)) {
-      continue;
-    }
-    out.push_back(
-        SensitiveCounts(anonymization, partition, class_id, column).size());
+  for (const std::vector<size_t>& counts : classes) {
+    out.push_back(counts.size());
   }
   return out;
 }
@@ -56,22 +47,15 @@ StatusOr<std::vector<size_t>> DistinctSensitivePerClass(
 StatusOr<std::vector<double>> SensitiveEntropyPerClass(
     const Anonymization& anonymization, const EquivalencePartition& partition,
     std::optional<size_t> sensitive_column) {
-  MDC_ASSIGN_OR_RETURN(size_t column,
-                       ResolveSensitiveColumn(anonymization.release.schema(),
-                                              sensitive_column));
+  MDC_ASSIGN_OR_RETURN(
+      auto classes,
+      CountsPerActiveClass(anonymization, partition, sensitive_column));
   std::vector<double> out;
-  for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
-    if (!ClassIsActive(partition, class_id, anonymization.suppressed)) {
-      continue;
-    }
-    std::map<std::string, size_t> counts =
-        SensitiveCounts(anonymization, partition, class_id, column);
+  for (const std::vector<size_t>& counts : classes) {
     double total = 0.0;
-    for (const auto& [value, count] : counts) {
-      total += static_cast<double>(count);
-    }
+    for (size_t count : counts) total += static_cast<double>(count);
     double entropy = 0.0;
-    for (const auto& [value, count] : counts) {
+    for (size_t count : counts) {
       double p = static_cast<double>(count) / total;
       entropy -= p * std::log(p);
     }
@@ -133,12 +117,17 @@ bool RecursiveCLDiversity::Satisfies(
 double RecursiveCLDiversity::Measure(
     const Anonymization& anonymization,
     const EquivalencePartition& partition) const {
-  std::vector<std::vector<size_t>> classes =
-      CountVectorsPerActiveClass(anonymization, partition, sensitive_column_);
-  if (classes.empty()) return std::numeric_limits<double>::infinity();
+  auto classes =
+      CountsPerActiveClass(anonymization, partition, sensitive_column_);
+  MDC_CHECK_MSG(classes.ok(),
+                "l-diversity model used without a resolvable sensitive "
+                "column");
+  if (classes->empty()) return std::numeric_limits<double>::infinity();
 
-  // For one class, the largest l' satisfying r_1 < c * sum_{i>=l'} r_i.
-  auto max_l_for_class = [&](const std::vector<size_t>& counts) -> int {
+  // For one class, the largest l' satisfying r_1 < c * sum_{i>=l'} r_i
+  // over its counts sorted descending.
+  auto max_l_for_class = [&](std::vector<size_t> counts) -> int {
+    std::sort(counts.begin(), counts.end(), std::greater<size_t>());
     const size_t m = counts.size();
     double r1 = static_cast<double>(counts[0]);
     double tail = 0.0;
@@ -156,7 +145,7 @@ double RecursiveCLDiversity::Measure(
 
   int min_l = 0;
   bool first = true;
-  for (const std::vector<size_t>& counts : classes) {
+  for (const std::vector<size_t>& counts : *classes) {
     int l = max_l_for_class(counts);
     if (first || l < min_l) {
       min_l = l;

@@ -27,33 +27,27 @@ StatusOr<std::vector<double>> PersonalizedPrivacy::BreachProbabilities(
   MDC_ASSIGN_OR_RETURN(size_t column,
                        ResolveSensitiveColumn(anonymization.release.schema(),
                                               sensitive_column_));
-  // Covers takes a Value: a string column makes one per dictionary entry,
-  // read by code, not one per visit of a cell.
-  const Dataset& original = *anonymization.original;
-  std::vector<Value> by_code;
-  std::span<const uint32_t> codes;
-  if (original.schema().attribute(column).type == AttributeType::kString) {
-    for (const std::string& entry : original.dictionary(column)) {
-      by_code.emplace_back(entry);
-    }
-    codes = original.codes(column);
-  }
+  // Covers runs once per distinct value of the row's class, weighted by
+  // that value's count, not once per member.
+  const SensitiveCodeCounts sensitive =
+      CountSensitive(anonymization, partition, column);
+  const std::vector<Value>& values = sensitive.view.distinct_values(0);
   std::vector<double> breach(anonymization.row_count(), 0.0);
   for (size_t row = 0; row < anonymization.row_count(); ++row) {
     if (anonymization.suppressed[row]) continue;
-    ClassSpan members =
-        partition.class_members(partition.ClassOfRow(row));
+    const size_t class_id = partition.ClassOfRow(row);
+    const std::span<const uint32_t> codes =
+        sensitive.per_class.codes_of(class_id);
+    const std::span<const size_t> counts =
+        sensitive.per_class.counts_of(class_id);
     size_t guarded = 0;
-    for (size_t member : members) {
-      const bool covered =
-          codes.empty()
-              ? taxonomy_->Covers(guarding_nodes_[row],
-                                  original.cell(member, column))
-              : taxonomy_->Covers(guarding_nodes_[row], by_code[codes[member]]);
-      if (covered) ++guarded;
+    for (size_t i = 0; i < codes.size(); ++i) {
+      if (taxonomy_->Covers(guarding_nodes_[row], values[codes[i]])) {
+        guarded += counts[i];
+      }
     }
-    breach[row] =
-        static_cast<double>(guarded) / static_cast<double>(members.size());
+    breach[row] = static_cast<double>(guarded) /
+                  static_cast<double>(partition.ClassSize(class_id));
   }
   return breach;
 }

@@ -1,8 +1,5 @@
 #include "privacy/privacy_model.h"
 
-#include <ranges>
-#include <span>
-
 namespace mdc {
 
 StatusOr<size_t> ResolveSensitiveColumn(const Schema& schema,
@@ -34,39 +31,15 @@ bool ClassIsActive(const EquivalencePartition& partition, size_t class_id,
   return false;
 }
 
-namespace {
-
-// Counts the printed sensitive values of `rows`. A string column is read
-// through its dictionary; a number prints as Value::ToString does.
-template <typename Rows>
-std::map<std::string, size_t> CountSensitive(const Dataset& data,
-                                             size_t column,
-                                             const Rows& rows) {
-  std::map<std::string, size_t> counts;
-  if (data.schema().attribute(column).type == AttributeType::kString) {
-    const std::vector<std::string>& dictionary = data.dictionary(column);
-    const std::span<const uint32_t> codes = data.codes(column);
-    for (size_t row : rows) ++counts[dictionary[codes[row]]];
-  } else {
-    for (size_t row : rows) ++counts[data.cell(row, column).ToString()];
-  }
-  return counts;
-}
-
-}  // namespace
-
-std::map<std::string, size_t> SensitiveCounts(
-    const Anonymization& anonymization, const EquivalencePartition& partition,
-    size_t class_id, size_t sensitive_column) {
-  return CountSensitive(*anonymization.original, sensitive_column,
-                        partition.class_members(class_id));
-}
-
-std::map<std::string, size_t> GlobalSensitiveCounts(
-    const Anonymization& anonymization, size_t sensitive_column) {
-  return CountSensitive(
-      *anonymization.original, sensitive_column,
-      std::views::iota(size_t{0}, anonymization.original->row_count()));
+SensitiveCodeCounts CountSensitive(const Anonymization& anonymization,
+                                   const EquivalencePartition& partition,
+                                   size_t sensitive_column) {
+  StatusOr<EncodedView> view =
+      EncodedView::Build(*anonymization.original, {sensitive_column});
+  MDC_CHECK_MSG(view.ok(), "sensitive column out of range");
+  ClassCodeCounts per_class = partition.CountCodes(
+      view->codes(0), view->distinct_values(0).size());
+  return {std::move(view).value(), std::move(per_class)};
 }
 
 }  // namespace mdc

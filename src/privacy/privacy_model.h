@@ -4,7 +4,8 @@
 // and reports the *achieved* scalar parameter (k, ℓ, t, p, …). Scalar
 // parameters are exactly the "aggregate quality indices" the paper argues
 // are insufficient — the core/ module layers property vectors on top of
-// the same per-class statistics computed here.
+// the same per-class statistics computed here, all read through
+// CountSensitive: a sensitive value is its value-ordered code.
 //
 // Convention: classes consisting entirely of suppressed rows are exempt
 // from every model's check (their quasi-identifiers are fully generalized,
@@ -13,13 +14,13 @@
 #ifndef MDC_PRIVACY_PRIVACY_MODEL_H_
 #define MDC_PRIVACY_PRIVACY_MODEL_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "anonymize/equivalence.h"
 #include "anonymize/generalizer.h"
+#include "table/encoded_view.h"
 
 namespace mdc {
 
@@ -53,19 +54,22 @@ StatusOr<size_t> ResolveSensitiveColumn(const Schema& schema,
 bool ClassIsActive(const EquivalencePartition& partition, size_t class_id,
                    const std::vector<bool>& suppressed);
 
-// Counts of each sensitive value within one class. Values are read from
+// The sensitive column's counts within each class. Values are read from
 // the ORIGINAL data set: an attribute may be generalized in the release
 // (the paper's Tables 2–3 generalize Marital Status) yet still be the
 // sensitive attribute whose true distribution diversity models reason
-// about.
-std::map<std::string, size_t> SensitiveCounts(
-    const Anonymization& anonymization, const EquivalencePartition& partition,
-    size_t class_id, size_t sensitive_column);
+// about. `view` codes that column in value order (position 0; text order
+// for strings, numbers by value), and `per_class` counts its codes per
+// class (EquivalencePartition::CountCodes), so a value is its code in
+// every statistic read from here.
+struct SensitiveCodeCounts {
+  EncodedView view;
+  ClassCodeCounts per_class;
+};
 
-// Counts over the whole data set (the global distribution t-closeness
-// compares against).
-std::map<std::string, size_t> GlobalSensitiveCounts(
-    const Anonymization& anonymization, size_t sensitive_column);
+SensitiveCodeCounts CountSensitive(const Anonymization& anonymization,
+                                   const EquivalencePartition& partition,
+                                   size_t sensitive_column);
 
 }  // namespace mdc
 

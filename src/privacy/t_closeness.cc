@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <span>
+#include <string>
 
 #include "common/strings.h"
 
@@ -34,50 +37,34 @@ StatusOr<std::vector<double>> EmdPerClass(
   MDC_ASSIGN_OR_RETURN(size_t column,
                        ResolveSensitiveColumn(anonymization.release.schema(),
                                               sensitive_column));
-  // Global support, keyed by printed value. The ordered ground distance
-  // spaces it in the column's order: as text for a string column (the
-  // map's order), by value for a number column. The equal ground keeps the
-  // map's order, and with it the order of its sum.
-  std::map<std::string, size_t> counted =
-      GlobalSensitiveCounts(anonymization, column);
-  std::vector<std::pair<std::string, size_t>> global(counted.begin(),
-                                                     counted.end());
-  const AttributeType type =
-      anonymization.original->schema().attribute(column).type;
-  if (ground == GroundDistance::kOrdered && type != AttributeType::kString) {
-    auto number = [type](const std::string& text) {
-      return *Value::Parse(text, type);
-    };
-    std::stable_sort(global.begin(), global.end(),
-                     [&number](const auto& a, const auto& b) {
-                       return number(a.first) < number(b.first);
-                     });
+  // The support is the codes 0..D-1 of the value-ordered view: text order
+  // for a string column, value order for a number column. Both grounds
+  // sum over it in that order. The global counts are the classes' counts
+  // summed (exactly: they are integers).
+  const SensitiveCodeCounts sensitive =
+      CountSensitive(anonymization, partition, column);
+  const ClassCodeCounts& counts = sensitive.per_class;
+  const double total = static_cast<double>(anonymization.release.row_count());
+  std::vector<double> global_p(sensitive.view.distinct_values(0).size(), 0.0);
+  for (size_t i = 0; i < counts.codes.size(); ++i) {
+    global_p[counts.codes[i]] += static_cast<double>(counts.counts[i]);
   }
-  std::vector<std::string> support;
-  std::vector<double> global_p;
-  double total = static_cast<double>(anonymization.release.row_count());
-  for (const auto& [value, count] : global) {
-    support.push_back(value);
-    global_p.push_back(static_cast<double>(count) / total);
-  }
+  for (double& p : global_p) p /= total;
 
   std::vector<double> out;
+  std::vector<double> class_p(global_p.size(), 0.0);
   for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
     if (!ClassIsActive(partition, class_id, anonymization.suppressed)) {
       continue;
     }
-    std::map<std::string, size_t> counts =
-        SensitiveCounts(anonymization, partition, class_id, column);
-    double class_total =
-        static_cast<double>(partition.ClassSize(class_id));
-    std::vector<double> class_p(support.size(), 0.0);
-    for (size_t i = 0; i < support.size(); ++i) {
-      auto it = counts.find(support[i]);
-      if (it != counts.end()) {
-        class_p[i] = static_cast<double>(it->second) / class_total;
-      }
+    const std::span<const uint32_t> codes = counts.codes_of(class_id);
+    const std::span<const size_t> of_class = counts.counts_of(class_id);
+    const double size = static_cast<double>(partition.ClassSize(class_id));
+    for (size_t i = 0; i < codes.size(); ++i) {
+      class_p[codes[i]] = static_cast<double>(of_class[i]) / size;
     }
     out.push_back(EarthMoversDistance(class_p, global_p, ground));
+    for (uint32_t code : codes) class_p[code] = 0.0;
   }
   return out;
 }
@@ -89,28 +76,39 @@ StatusOr<std::vector<double>> HierarchicalEmdPerClass(
   MDC_ASSIGN_OR_RETURN(size_t column,
                        ResolveSensitiveColumn(anonymization.release.schema(),
                                               sensitive_column));
-  std::map<std::string, size_t> global =
-      GlobalSensitiveCounts(anonymization, column);
-  std::map<std::string, double> global_p;
-  double total = static_cast<double>(anonymization.release.row_count());
-  for (const auto& [value, count] : global) {
-    global_p[value] = static_cast<double>(count) / total;
-  }
+  const SensitiveCodeCounts sensitive =
+      CountSensitive(anonymization, partition, column);
+  // The taxonomy names its leaves by text, so each code becomes its
+  // value's printed form here, at the boundary. Masses are summed as
+  // counts and divided once: over every class's entries they sum to the
+  // global distribution.
+  const std::vector<Value>& values = sensitive.view.distinct_values(0);
+  auto distribution = [&values](std::span<const uint32_t> codes,
+                                std::span<const size_t> counts,
+                                double total) {
+    std::map<std::string, double> p;
+    for (size_t i = 0; i < codes.size(); ++i) {
+      p[values[codes[i]].ToString()] += static_cast<double>(counts[i]);
+    }
+    for (auto& [leaf, mass] : p) mass /= total;
+    return p;
+  };
+  const ClassCodeCounts& counts = sensitive.per_class;
+  const std::map<std::string, double> global_p =
+      distribution(counts.codes, counts.counts,
+                   static_cast<double>(anonymization.release.row_count()));
 
   std::vector<double> out;
   for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
     if (!ClassIsActive(partition, class_id, anonymization.suppressed)) {
       continue;
     }
-    std::map<std::string, size_t> counts =
-        SensitiveCounts(anonymization, partition, class_id, column);
-    std::map<std::string, double> class_p;
-    double class_total = static_cast<double>(partition.ClassSize(class_id));
-    for (const auto& [value, count] : counts) {
-      class_p[value] = static_cast<double>(count) / class_total;
-    }
-    MDC_ASSIGN_OR_RETURN(double emd,
-                         taxonomy.HierarchicalEmd(class_p, global_p));
+    MDC_ASSIGN_OR_RETURN(
+        double emd,
+        taxonomy.HierarchicalEmd(
+            distribution(counts.codes_of(class_id), counts.counts_of(class_id),
+                         static_cast<double>(partition.ClassSize(class_id))),
+            global_p));
     out.push_back(emd);
   }
   return out;

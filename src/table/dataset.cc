@@ -241,25 +241,6 @@ std::vector<double> Dataset::Numbers(size_t column) const {
   return std::vector<double>(col.ints.begin(), col.ints.end());
 }
 
-std::vector<Value> Dataset::DistinctValues(size_t column) const {
-  MDC_CHECK_LT(column, schema_.attribute_count());
-  std::vector<Value> values;
-  if (schema_.attribute(column).type == AttributeType::kString) {
-    const Column& col = columns_[column];
-    std::vector<bool> present(col.dictionary.size(), false);
-    for (uint32_t code : col.codes) present[code] = true;
-    for (size_t code = 0; code < present.size(); ++code) {
-      if (present[code]) values.emplace_back(col.dictionary[code]);
-    }
-  } else {
-    values.reserve(row_count_);
-    for (size_t r = 0; r < row_count_; ++r) values.push_back(cell(r, column));
-  }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  return values;
-}
-
 StatusOr<std::pair<double, double>> Dataset::NumericRange(
     size_t column) const {
   MDC_CHECK_LT(column, schema_.attribute_count());

@@ -10,8 +10,9 @@
 // columns, and for string columns uint32_t codes into a dictionary that
 // holds each string once. A dictionary may hold entries no row uses (a
 // release's level label table, a value set_cell replaced), so code counts
-// are not distinct counts; DistinctValues and EncodedView count only the
-// codes that occur.
+// are not distinct counts. A column's distinct values, sorted, come from
+// EncodedView (table/encoded_view.h), which counts only the codes that
+// occur and codes the column in that order.
 
 #ifndef MDC_TABLE_DATASET_H_
 #define MDC_TABLE_DATASET_H_
@@ -105,9 +106,6 @@ class Dataset {
 
   // An int or real column as doubles (Value::AsNumber per cell).
   std::vector<double> Numbers(size_t column) const;
-
-  // Distinct values of one column, sorted.
-  std::vector<Value> DistinctValues(size_t column) const;
 
   // [min, max] of a numeric column; fails on empty data or string column.
   StatusOr<std::pair<double, double>> NumericRange(size_t column) const;

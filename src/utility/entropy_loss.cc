@@ -4,6 +4,7 @@
 #include <optional>
 #include <span>
 
+#include "table/encoded_view.h"
 #include "utility/loss_metric.h"
 
 namespace mdc {
@@ -19,15 +20,18 @@ StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
   if (qi == 0) {
     return Status::FailedPrecondition("no quasi-identifier columns");
   }
+  MDC_ASSIGN_OR_RETURN(EncodedView view,
+                       EncodedView::Build(*anonymization.original,
+                                          anonymization.qi_columns));
   std::vector<double> loss(rows, 0.0);
-  for (size_t column : anonymization.qi_columns) {
+  for (size_t pos = 0; pos < qi; ++pos) {
+    const size_t column = anonymization.qi_columns[pos];
     const ValueHierarchy* hierarchy =
         anonymization.scheme->hierarchies().ForColumn(column);
     if (hierarchy == nullptr) {
       return Status::InvalidArgument("column has no hierarchy in the scheme");
     }
-    std::vector<Value> distinct =
-        anonymization.original->DistinctValues(column);
+    const std::vector<Value>& distinct = view.distinct_values(pos);
     const double total = static_cast<double>(distinct.size());
     if (total <= 1.0) continue;  // A constant column loses nothing.
     const double denom = std::log2(total);

@@ -1,9 +1,10 @@
 #include "utility/loss_metric.h"
 
-#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
+
+#include "table/encoded_view.h"
 
 namespace mdc {
 namespace {
@@ -51,20 +52,24 @@ StatusOr<double> LossMetric::LabelLoss(const Anonymization& anonymization,
   const ValueHierarchy* hierarchy =
       anonymization.scheme->hierarchies().ForColumn(column);
   if (hierarchy == nullptr) return NoHierarchy();
-  return ChargeLabel(*hierarchy,
-                     anonymization.original->DistinctValues(column), label);
+  MDC_ASSIGN_OR_RETURN(EncodedView view,
+                       EncodedView::Build(*anonymization.original, {column}));
+  return ChargeLabel(*hierarchy, view.distinct_values(0), label);
 }
 
 StatusOr<PropertyVector> LossMetric::PerTupleLoss(
     const Anonymization& anonymization) {
   if (!anonymization.scheme.has_value()) return NeedsScheme();
   const size_t rows = anonymization.row_count();
+  MDC_ASSIGN_OR_RETURN(EncodedView view,
+                       EncodedView::Build(*anonymization.original,
+                                          anonymization.qi_columns));
   std::vector<double> loss(rows, 0.0);
-  for (size_t column : anonymization.qi_columns) {
+  for (size_t pos = 0; pos < anonymization.qi_columns.size(); ++pos) {
+    const size_t column = anonymization.qi_columns[pos];
     const ValueHierarchy* hierarchy =
         anonymization.scheme->hierarchies().ForColumn(column);
-    const std::vector<Value> distinct =
-        anonymization.original->DistinctValues(column);
+    const std::vector<Value>& distinct = view.distinct_values(pos);
     // One charge per label code, computed on the first row that uses it:
     // a label table may hold labels no row uses.
     const std::vector<std::string>& labels =
@@ -102,63 +107,51 @@ StatusOr<PropertyVector> ClassSpreadLoss::PerTupleLoss(
     const Anonymization& anonymization,
     const EquivalencePartition& partition) {
   const Dataset& original = *anonymization.original;
-  const Schema& schema = original.schema();
   const size_t rows = anonymization.row_count();
   if (partition.row_count() != rows) {
     return Status::InvalidArgument("partition arity mismatch");
   }
+  // A wholly suppressed class is charged 1 on every column.
+  std::vector<bool> active(partition.class_count(), false);
+  for (size_t row = 0; row < rows; ++row) {
+    if (!anonymization.suppressed[row]) {
+      active[partition.ClassOfRow(row)] = true;
+    }
+  }
+  MDC_ASSIGN_OR_RETURN(EncodedView view,
+                       EncodedView::Build(original, anonymization.qi_columns));
   std::vector<double> loss(rows, 0.0);
-  std::vector<uint32_t> distinct;  // Scratch: one class's string codes.
-
-  for (size_t column : anonymization.qi_columns) {
+  for (size_t pos = 0; pos < anonymization.qi_columns.size(); ++pos) {
+    const size_t column = anonymization.qi_columns[pos];
+    const std::vector<Value>& values = view.distinct_values(pos);
     const bool is_string =
-        schema.attribute(column).type == AttributeType::kString;
+        original.schema().attribute(column).type == AttributeType::kString;
     double global_spread = 1.0;
-    size_t global_distinct = original.DistinctValues(column).size();
-    std::span<const uint32_t> codes;
-    std::vector<double> numbers;
-    if (is_string) {
-      codes = original.codes(column);
-    } else {
+    if (!is_string) {
       MDC_ASSIGN_OR_RETURN(auto range, original.NumericRange(column));
       global_spread = range.second - range.first;
-      numbers = original.Numbers(column);
     }
-
+    // A class's codes ascend: a string column is charged for how many it
+    // holds, a number column for the span from its first to its last.
+    const ClassCodeCounts counts =
+        partition.CountCodes(view.codes(pos), values.size());
     for (size_t class_id = 0; class_id < partition.class_count();
          ++class_id) {
-      ClassSpan members = partition.class_members(class_id);
-      double charge = 0.0;
-      bool class_suppressed = true;
-      for (size_t row : members) {
-        if (!anonymization.suppressed[row]) {
-          class_suppressed = false;
-          break;
-        }
-      }
-      if (class_suppressed) {
-        charge = 1.0;
-      } else if (is_string) {
-        // Codes of one dictionary name distinct strings.
-        distinct.clear();
-        for (size_t row : members) distinct.push_back(codes[row]);
-        std::sort(distinct.begin(), distinct.end());
-        const auto count = static_cast<size_t>(
-            std::unique(distinct.begin(), distinct.end()) - distinct.begin());
-        charge = global_distinct <= 1
+      const std::span<const uint32_t> codes = counts.codes_of(class_id);
+      double charge = 1.0;
+      if (active[class_id] && is_string) {
+        charge = values.size() <= 1
                      ? 0.0
-                     : static_cast<double>(count - 1) /
-                           static_cast<double>(global_distinct - 1);
-      } else {
-        double lo = numbers[members[0]];
-        double hi = lo;
-        for (size_t row : members) {
-          lo = std::min(lo, numbers[row]);
-          hi = std::max(hi, numbers[row]);
-        }
-        charge = global_spread <= 0.0 ? 0.0 : (hi - lo) / global_spread;
+                     : static_cast<double>(codes.size() - 1) /
+                           static_cast<double>(values.size() - 1);
+      } else if (active[class_id]) {
+        charge = global_spread <= 0.0
+                     ? 0.0
+                     : (values[codes.back()].AsNumber() -
+                        values[codes.front()].AsNumber()) /
+                           global_spread;
       }
-      for (size_t row : members) loss[row] += charge;
+      for (size_t row : partition.class_members(class_id)) loss[row] += charge;
     }
   }
   return PropertyVector("class-spread-loss", std::move(loss));

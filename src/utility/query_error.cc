@@ -4,6 +4,8 @@
 #include <cmath>
 #include <span>
 
+#include "table/encoded_view.h"
+
 namespace mdc {
 namespace {
 
@@ -57,7 +59,9 @@ StatusOr<QueryWorkload> QueryWorkload::Random(
       return Status::InvalidArgument(
           "categorical predicate column must be a string column");
     }
-    categorical_values = original.DistinctValues(*categorical_column);
+    MDC_ASSIGN_OR_RETURN(EncodedView view,
+                         EncodedView::Build(original, {*categorical_column}));
+    categorical_values = view.distinct_values(0);
   }
 
   QueryWorkload workload;
@@ -108,13 +112,15 @@ StatusOr<double> EstimatedCount(const Anonymization& anonymization,
     return Status::OutOfRange("query column out of range");
   }
   const std::vector<double> values = original.Numbers(query.numeric_column);
-  std::span<const uint32_t> codes;
+  // Each class's distinct category codes, ascending.
+  ClassCodeCounts categories;
   std::optional<uint32_t> wanted;
   if (query.categorical_column.has_value()) {
-    codes = original.codes(*query.categorical_column);
+    const size_t column = *query.categorical_column;
+    categories = partition.CountCodes(original.codes(column),
+                                      original.dictionary(column).size());
     wanted = CategoricalCode(original, query);
   }
-  std::vector<uint32_t> distinct;  // Scratch: one class's category codes.
   double estimate = 0.0;
   for (size_t class_id = 0; class_id < partition.class_count(); ++class_id) {
     ClassSpan members = partition.class_members(class_id);
@@ -129,16 +135,12 @@ StatusOr<double> EstimatedCount(const Anonymization& anonymization,
     if (fraction <= 0.0) continue;
     if (query.categorical_column.has_value()) {
       // Codes of one dictionary name distinct strings.
-      distinct.clear();
-      for (size_t row : members) distinct.push_back(codes[row]);
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
+      const std::span<const uint32_t> codes = categories.codes_of(class_id);
       if (!wanted.has_value() ||
-          !std::binary_search(distinct.begin(), distinct.end(), *wanted)) {
+          !std::binary_search(codes.begin(), codes.end(), *wanted)) {
         continue;
       }
-      fraction /= static_cast<double>(distinct.size());
+      fraction /= static_cast<double>(codes.size());
     }
     estimate += fraction * static_cast<double>(members.size());
   }

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "hierarchy/hierarchy.h"
+#include "table/encoded_view.h"
 
 namespace mdc {
 namespace {
@@ -70,8 +71,11 @@ TEST(CensusGeneratorTest, EveryHierarchyNestsOverGeneratedValues) {
   ASSERT_TRUE(census.ok());
   for (size_t pos = 0; pos < census->hierarchies.size(); ++pos) {
     size_t column = census->hierarchies.columns()[pos];
-    std::vector<Value> values = census->data->DistinctValues(column);
-    EXPECT_TRUE(VerifyNesting(census->hierarchies.At(pos), values).ok())
+    auto view = EncodedView::Build(*census->data, {column});
+    ASSERT_TRUE(view.ok());
+    EXPECT_TRUE(VerifyNesting(census->hierarchies.At(pos),
+                              view->distinct_values(0))
+                    .ok())
         << "column " << column;
   }
 }

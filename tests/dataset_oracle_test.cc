@@ -5,9 +5,9 @@
 // Value::ToString cells for the render. On thousands of random texts and
 // schemas, FromCsv must return the reference's Status, code and message,
 // and on success the same cells (type and sign of zero included) and the
-// same ToCsv bytes. The derived views (DistinctValues, NumericRange,
-// EncodedView) are checked against their definitions on datasets whose
-// dictionaries hold entries no row uses.
+// same ToCsv bytes. The derived views (NumericRange, EncodedView) are
+// checked against their definitions on datasets whose dictionaries hold
+// entries no row uses.
 
 #include <gtest/gtest.h>
 
@@ -396,7 +396,7 @@ TEST(DatasetOracleTest, DataFilesRoundTripByteForByte) {
   }
 }
 
-// DistinctValues, NumericRange and EncodedView::Build against their
+// NumericRange and EncodedView::Build against their
 // definitions: the sorted distinct cells, the min and max of the cells as
 // numbers, and each row's lower_bound index among the distinct cells.
 void ExpectDerivedViewsMatchDefinitions(const Dataset& data) {
@@ -414,7 +414,6 @@ void ExpectDerivedViewsMatchDefinitions(const Dataset& data) {
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
                    distinct.end());
-    EXPECT_EQ(data.DistinctValues(c), distinct);
     EXPECT_EQ(view->distinct_values(c), distinct);
     for (size_t r = 0; r < data.row_count(); ++r) {
       EXPECT_EQ(static_cast<size_t>(view->codes(c)[r]),
@@ -452,7 +451,9 @@ TEST(DatasetOracleTest, SetCellOrphansCountOnlyPresentCodes) {
   }
   data.set_cell(1, 1, Value(int64_t{-7}));
   ASSERT_EQ(data.dictionary(paper::kMaritalColumn).size(), entries + 1);
-  for (const Value& v : data.DistinctValues(paper::kMaritalColumn)) {
+  auto view = EncodedView::Build(data, {paper::kMaritalColumn});
+  ASSERT_TRUE(view.ok());
+  for (const Value& v : view->distinct_values(0)) {
     EXPECT_NE(v.AsString(), orphan);
   }
   ExpectDerivedViewsMatchDefinitions(data);
@@ -473,10 +474,13 @@ TEST(DatasetOracleTest, MaterializedLabelTablesCountOnlyPresentCodes) {
   const Dataset& release = materialized->anonymization.release;
   // The label tables hold "*" and labels of other levels' values that no
   // row of this release carries.
+  auto view = EncodedView::Build(release, hierarchies->columns());
+  ASSERT_TRUE(view.ok());
   bool unused_labels = false;
-  for (size_t column : hierarchies->columns()) {
-    unused_labels = unused_labels || release.dictionary(column).size() >
-                                         release.DistinctValues(column).size();
+  for (size_t pos = 0; pos < hierarchies->columns().size(); ++pos) {
+    unused_labels = unused_labels ||
+                    release.dictionary(hierarchies->columns()[pos]).size() >
+                        view->distinct_values(pos).size();
   }
   EXPECT_TRUE(unused_labels);
   ExpectDerivedViewsMatchDefinitions(release);

@@ -217,7 +217,7 @@ TEST(TaxonomyHierarchyTest, LeavesList) {
 TEST(VerifyNestingTest, AcceptsPaperHierarchies) {
   std::vector<Value> ages;
   for (int64_t a : {28, 41, 39, 26, 50, 55, 49, 31, 42, 47}) {
-    ages.push_back(Value(a));
+    ages.emplace_back(a);
   }
   EXPECT_TRUE(VerifyNesting(*paper::AgeHierarchyA(), ages).ok());
   EXPECT_TRUE(VerifyNesting(*paper::AgeHierarchyB(), ages).ok());

@@ -188,7 +188,7 @@ TEST_P(IntervalNestingSweep, GeneratedChainsNest) {
   Rng rng(static_cast<uint64_t>(base_width * 100 + multiplier));
   std::vector<Value> values;
   for (int i = 0; i < 100; ++i) {
-    values.push_back(Value(rng.NextInt(-500, 500)));
+    values.emplace_back(rng.NextInt(-500, 500));
   }
   EXPECT_TRUE(VerifyNesting(*hierarchy, values).ok());
 }

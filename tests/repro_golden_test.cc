@@ -101,5 +101,23 @@ TEST(ReproGoldenTest, Permutation) {
   ExpectMatchesGolden("repro_permutation");
 }
 
+// The drivers whose numbers come from per-class statistics of the
+// original data: the §3 sensitive-count (ℓ-diversity) vector, the §5.5 LM
+// utility vectors, the EXT-C query-error table, and EXT-A's distinct ℓ,
+// equal-ground t-closeness and class-spread columns.
+TEST(ReproGoldenTest, Section3Examples) {
+  ExpectMatchesGolden("repro_section3_examples");
+}
+
+TEST(ReproGoldenTest, Section5Examples) {
+  ExpectMatchesGolden("repro_section5_examples");
+}
+
+TEST(ReproGoldenTest, QueryError) { ExpectMatchesGolden("repro_query_error"); }
+
+TEST(ReproGoldenTest, AlgorithmComparison) {
+  ExpectMatchesGolden("repro_algorithm_comparison");
+}
+
 }  // namespace
 }  // namespace mdc

@@ -18,6 +18,7 @@
 #include "hierarchy/suffix_hierarchy.h"
 #include "hierarchy/taxonomy_hierarchy.h"
 #include "table/dataset.h"
+#include "table/encoded_view.h"
 
 namespace mdc {
 namespace {
@@ -376,7 +377,9 @@ TEST(RobustnessTest, PropertyMatrixFromCsvHonorsBudgetsAndCancellation) {
 TEST(RobustnessTest, EmptyDatasetOperations) {
   Dataset empty(SimpleSchema());
   EXPECT_EQ(empty.row_count(), 0u);
-  EXPECT_TRUE(empty.DistinctValues(0).empty());
+  auto view = EncodedView::Build(empty, {0});
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE(view->distinct_values(0).empty());
   EXPECT_FALSE(empty.NumericRange(1).ok());
   EXPECT_NE(empty.ToCsv().find("zip,age"), std::string::npos);
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "table/dataset.h"
+#include "table/encoded_view.h"
 #include "table/schema.h"
 
 namespace mdc {
@@ -95,7 +96,9 @@ TEST(DatasetTest, ColumnAndDistinct) {
                     .ok());
   }
   EXPECT_EQ(data.ints(1).size(), 4u);
-  std::vector<Value> distinct = data.DistinctValues(1);
+  auto view = EncodedView::Build(data, {1});
+  ASSERT_TRUE(view.ok());
+  const std::vector<Value>& distinct = view->distinct_values(0);
   ASSERT_EQ(distinct.size(), 3u);
   EXPECT_EQ(distinct[0].AsInt(), 20);
   EXPECT_EQ(distinct[2].AsInt(), 40);
@@ -174,8 +177,10 @@ TEST(DatasetTest, TypedColumnsAndInterning) {
   data.set_cell(1, 2, Value("HIV"));
   EXPECT_EQ(data.dictionary(2).size(), 3u);
   EXPECT_EQ(data.cell(1, 2).AsString(), "HIV");
-  // Cold is orphaned: the dictionary keeps it, DistinctValues does not.
-  EXPECT_EQ(data.DistinctValues(2),
+  // Cold is orphaned: the dictionary keeps it, the coded view does not.
+  auto view = EncodedView::Build(data, {2});
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->distinct_values(0),
             (std::vector<Value>{Value("Flu"), Value("HIV")}));
   EXPECT_EQ(data.row(2)[2].AsString(), "Flu");
 }
