@@ -28,20 +28,25 @@ bool ProjectionFeasible(const EncodedNodeEvaluator& evaluator,
                         size_t max_suppressed) {
   const size_t row_count = evaluator.row_count();
   const GatherKernels& kernels = ActiveGatherKernels();
-  std::vector<std::vector<uint32_t>> labels(subset.size(),
-                                            std::vector<uint32_t>(row_count));
+  // Checks run on RunWaves workers; like EncodedNodeEvaluator::Evaluate,
+  // each thread keeps its row-length label arrays from check to check.
+  static thread_local std::vector<std::vector<uint32_t>> labels;
+  if (labels.size() < subset.size()) labels.resize(subset.size());
+  std::vector<std::span<const uint32_t>> columns;
   std::vector<uint32_t> cardinalities;
   for (size_t i = 0; i < subset.size(); ++i) {
     const LevelCodeTable& table = evaluator.codec().table(subset[i], node[i]);
+    labels[i].resize(row_count);
     if (row_count > 0) {
       kernels.gather_u32(evaluator.view().codes(subset[i]).data(), row_count,
                          table.value_to_label.data(), labels[i].data());
     }
+    columns.emplace_back(labels[i]);
     cardinalities.push_back(static_cast<uint32_t>(table.labels.size()));
   }
   // Bound to a local: classes() borrows from the partition.
-  const EquivalencePartition partition = EquivalencePartition::FromCodeColumns(
-      row_count, {labels.begin(), labels.end()}, cardinalities);
+  const EquivalencePartition partition =
+      EquivalencePartition::FromCodeColumns(row_count, columns, cardinalities);
   size_t undersized = 0;
   for (ClassSpan members : partition.classes()) {
     if (members.size() < static_cast<size_t>(k)) undersized += members.size();

@@ -1,8 +1,45 @@
 #include "hierarchy/hierarchy.h"
 
 #include <map>
+#include <string_view>
+#include <unordered_map>
 
 namespace mdc {
+
+bool ValueHierarchy::Covers(const std::string& label,
+                            const Value& value) const {
+  for (int level = 0; level <= height(); ++level) {
+    StatusOr<std::string> generalized = Generalize(value, level);
+    if (!generalized.ok()) return false;
+    if (*generalized == label) return true;
+  }
+  return false;
+}
+
+std::vector<size_t> CountCovered(const ValueHierarchy& hierarchy,
+                                 std::span<const Value> values,
+                                 std::span<const std::string> labels) {
+  std::unordered_map<std::string_view, size_t> index_of;
+  index_of.reserve(labels.size());
+  for (size_t i = 0; i < labels.size(); ++i) index_of.emplace(labels[i], i);
+  std::vector<size_t> covered(labels.size(), 0);
+  // last_value[i] = the value that last counted toward label i, so a label
+  // a chain repeats (a shallow taxonomy leaf clamped at the root) counts
+  // once per value.
+  std::vector<size_t> last_value(labels.size(), values.size());
+  for (size_t v = 0; v < values.size(); ++v) {
+    for (int level = 0; level <= hierarchy.height(); ++level) {
+      StatusOr<std::string> generalized =
+          hierarchy.Generalize(values[v], level);
+      if (!generalized.ok()) break;
+      auto it = index_of.find(*generalized);
+      if (it == index_of.end() || last_value[it->second] == v) continue;
+      last_value[it->second] = v;
+      ++covered[it->second];
+    }
+  }
+  return covered;
+}
 
 Status VerifyNesting(const ValueHierarchy& hierarchy,
                      const std::vector<Value>& values) {

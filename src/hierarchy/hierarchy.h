@@ -10,11 +10,16 @@
 // above l. Full-domain algorithms (Datafly, Samarati, the optimal lattice
 // search) rely on this; VerifyNesting() checks it for a concrete value set
 // and is used by tests and by algorithm preflight checks.
+//
+// Which values a label stands for follows from Generalize alone: a label
+// covers a value when it lies on the value's generalization chain (see
+// Covers).
 
 #ifndef MDC_HIERARCHY_HIERARCHY_H_
 #define MDC_HIERARCHY_HIERARCHY_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,16 +48,26 @@ class ValueHierarchy {
   virtual StatusOr<std::string> Generalize(const Value& value,
                                            int level) const = 0;
 
-  // True if the generalized cell `label` (produced by any level of this
-  // hierarchy) covers the raw `value`. Values outside the domain are
-  // never covered. Used by label-based loss metrics.
-  virtual bool Covers(const std::string& label, const Value& value) const = 0;
+  // True if `label` lies on `value`'s generalization chain, that is, if
+  // Generalize(value, l) == label at some level l in 0..height(). A value
+  // that fails to generalize is covered by no label. Personalized privacy
+  // asks it per value; the label-based loss metrics count it for a whole
+  // column at once through CountCovered, by the same rule.
+  bool Covers(const std::string& label, const Value& value) const;
 };
+
+// For each of `labels` (distinct strings, such as a column's dictionary),
+// how many of `values` it covers. Each value's chain is generalized once,
+// level 0 to height(), and counts once toward every distinct label on it;
+// a label no chain reaches counts 0.
+std::vector<size_t> CountCovered(const ValueHierarchy& hierarchy,
+                                 std::span<const Value> values,
+                                 std::span<const std::string> labels);
 
 // Checks the nesting invariant of `hierarchy` over the given values:
 // equal labels at level l imply equal labels at level l+1, for all levels.
-// Also checks that every value generalizes successfully at every level and
-// that Covers(Generalize(v, l), v) holds.
+// Also checks that every value generalizes successfully at every level
+// (Covers(Generalize(v, l), v) then holds by definition).
 Status VerifyNesting(const ValueHierarchy& hierarchy,
                      const std::vector<Value>& values);
 

@@ -10,19 +10,6 @@ std::string Interval::ToLabel() const {
   return "(" + FormatCompact(lo) + "," + FormatCompact(hi) + "]";
 }
 
-std::optional<Interval> Interval::FromLabel(const std::string& label) {
-  if (label.size() < 5 || label.front() != '(' || label.back() != ']') {
-    return std::nullopt;
-  }
-  size_t comma = label.find(',');
-  if (comma == std::string::npos) return std::nullopt;
-  std::optional<double> lo = ParseDouble(label.substr(1, comma - 1));
-  std::optional<double> hi =
-      ParseDouble(label.substr(comma + 1, label.size() - comma - 2));
-  if (!lo.has_value() || !hi.has_value() || !(*lo < *hi)) return std::nullopt;
-  return Interval{*lo, *hi};
-}
-
 StatusOr<IntervalHierarchy> IntervalHierarchy::Create(
     std::vector<IntervalLevel> levels) {
   for (size_t i = 0; i < levels.size(); ++i) {
@@ -94,18 +81,6 @@ StatusOr<std::string> IntervalHierarchy::Generalize(const Value& value,
   if (level == 0) return value.ToString();
   if (level == height()) return std::string(kSuppressedLabel);
   return BinOf(value.AsNumber(), static_cast<size_t>(level - 1)).ToLabel();
-}
-
-bool IntervalHierarchy::Covers(const std::string& label,
-                               const Value& value) const {
-  if (value.is_string()) return false;
-  if (label == kSuppressedLabel) return true;
-  if (std::optional<Interval> interval = Interval::FromLabel(label);
-      interval.has_value()) {
-    return interval->Contains(value.AsNumber());
-  }
-  // Exact (level 0) label.
-  return label == value.ToString();
 }
 
 }  // namespace mdc

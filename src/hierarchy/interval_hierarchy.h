@@ -15,7 +15,6 @@
 #ifndef MDC_HIERARCHY_INTERVAL_HIERARCHY_H_
 #define MDC_HIERARCHY_INTERVAL_HIERARCHY_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,11 +32,7 @@ struct Interval {
   double lo = 0.0;
   double hi = 0.0;
 
-  bool Contains(double v) const { return v > lo && v <= hi; }
   std::string ToLabel() const;  // "(lo,hi]"
-
-  // Parses "(lo,hi]"; nullopt if the text is not an interval label.
-  static std::optional<Interval> FromLabel(const std::string& label);
 };
 
 class IntervalHierarchy final : public ValueHierarchy {
@@ -54,7 +49,6 @@ class IntervalHierarchy final : public ValueHierarchy {
   }
   StatusOr<std::string> Generalize(const Value& value,
                                    int level) const override;
-  bool Covers(const std::string& label, const Value& value) const override;
 
   // The bin of `v` at interval level `index` (0-based into the level list).
   Interval BinOf(double v, size_t index) const;

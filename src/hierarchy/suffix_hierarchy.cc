@@ -47,16 +47,4 @@ StatusOr<std::string> SuffixHierarchy::Generalize(const Value& value,
   return code;
 }
 
-bool SuffixHierarchy::Covers(const std::string& label,
-                             const Value& value) const {
-  auto code = Canonicalize(value);
-  if (!code.ok()) return false;
-  if (label == kSuppressedLabel) return true;
-  if (label.size() != code->size()) return false;
-  for (size_t i = 0; i < label.size(); ++i) {
-    if (label[i] != '*' && label[i] != (*code)[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace mdc

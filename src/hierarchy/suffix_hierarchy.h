@@ -24,7 +24,6 @@ class SuffixHierarchy final : public ValueHierarchy {
   int height() const override { return code_length_; }
   StatusOr<std::string> Generalize(const Value& value,
                                    int level) const override;
-  bool Covers(const std::string& label, const Value& value) const override;
 
   // The canonical code string for `value`, or an error if it does not fit
   // the code length.

@@ -107,20 +107,6 @@ StatusOr<std::string> TaxonomyHierarchy::Generalize(const Value& value,
   return labels_[static_cast<size_t>(node)];
 }
 
-bool TaxonomyHierarchy::Covers(const std::string& label,
-                               const Value& value) const {
-  if (!value.is_string()) return false;
-  auto label_it = index_.find(label);
-  auto value_it = index_.find(value.AsString());
-  if (label_it == index_.end() || value_it == index_.end()) return false;
-  if (!is_leaf_[static_cast<size_t>(value_it->second)]) return false;
-  for (int node = value_it->second; node != -1;
-       node = parents_[static_cast<size_t>(node)]) {
-    if (node == label_it->second) return true;
-  }
-  return false;
-}
-
 size_t TaxonomyHierarchy::LeavesUnder(const std::string& label) const {
   auto it = index_.find(label);
   if (it == index_.end()) return 0;

@@ -48,7 +48,6 @@ class TaxonomyHierarchy final : public ValueHierarchy {
   int height() const override { return height_; }
   StatusOr<std::string> Generalize(const Value& value,
                                    int level) const override;
-  bool Covers(const std::string& label, const Value& value) const override;
 
   // Number of leaf values in the tree (the |domain| used by loss metrics).
   size_t leaf_count() const { return leaf_count_; }

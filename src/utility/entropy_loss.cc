@@ -1,11 +1,9 @@
 #include "utility/entropy_loss.h"
 
 #include <cmath>
-#include <optional>
 #include <span>
 
 #include "table/encoded_view.h"
-#include "utility/loss_metric.h"
 
 namespace mdc {
 
@@ -36,25 +34,30 @@ StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
     if (total <= 1.0) continue;  // A constant column loses nothing.
     const double denom = std::log2(total);
 
-    // One charge per label code, computed on the first row that uses it:
-    // a label table may hold labels no row uses.
+    // One charge per label code; a label table may hold labels no row
+    // uses, so an uncovered label is an error only when a row carries it.
     const std::vector<std::string>& labels =
         anonymization.release.dictionary(column);
-    const std::span<const uint32_t> codes = anonymization.release.codes(column);
-    std::vector<std::optional<double>> label_charge(labels.size());
-    for (size_t r = 0; r < rows; ++r) {
-      std::optional<double>& charge = label_charge[codes[r]];
-      if (!charge.has_value()) {
-        const std::string& label = labels[codes[r]];
-        const size_t covered =
-            internal::CoveredCount(*hierarchy, distinct, label);
-        if (covered == 0) {
-          return Status::Internal("label '" + label +
-                                  "' covers no present value");
-        }
-        charge = std::log2(static_cast<double>(covered)) / denom;
+    const std::vector<size_t> covered =
+        CountCovered(*hierarchy, distinct, labels);
+    std::vector<double> charge(labels.size(), 0.0);
+    for (size_t code = 0; code < labels.size(); ++code) {
+      if (covered[code] > 0) {
+        charge[code] = std::log2(static_cast<double>(covered[code])) / denom /
+                       static_cast<double>(qi);
       }
-      loss[r] += *charge / static_cast<double>(qi);
+    }
+    const std::span<const uint32_t> codes = anonymization.release.codes(column);
+    for (size_t r = 0; r < rows; ++r) {
+      if (anonymization.suppressed[r]) {
+        // A suppressed cell covers every present value: log2(M)/log2(M).
+        loss[r] += 1.0 / static_cast<double>(qi);
+      } else if (covered[codes[r]] == 0) {
+        return Status::Internal("label '" + labels[codes[r]] +
+                                "' covers no present value");
+      } else {
+        loss[r] += charge[codes[r]];
+      }
     }
   }
   return PropertyVector("entropy-loss", std::move(loss));

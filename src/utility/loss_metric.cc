@@ -1,6 +1,5 @@
 #include "utility/loss_metric.h"
 
-#include <optional>
 #include <span>
 #include <string>
 
@@ -19,43 +18,7 @@ Status NoHierarchy() {
   return Status::InvalidArgument("column has no hierarchy in the scheme");
 }
 
-// LabelLoss once the column's hierarchy and present values are known.
-StatusOr<double> ChargeLabel(const ValueHierarchy& hierarchy,
-                             const std::vector<Value>& distinct,
-                             const std::string& label) {
-  const size_t total = distinct.size();
-  if (total <= 1) return 0.0;
-  const size_t covered = internal::CoveredCount(hierarchy, distinct, label);
-  if (covered == 0) {
-    return Status::Internal("label '" + label +
-                            "' covers no present value of its column");
-  }
-  return static_cast<double>(covered - 1) / static_cast<double>(total - 1);
-}
-
 }  // namespace
-
-size_t internal::CoveredCount(const ValueHierarchy& hierarchy,
-                              const std::vector<Value>& distinct,
-                              const std::string& label) {
-  size_t covered = 0;
-  for (const Value& v : distinct) {
-    if (hierarchy.Covers(label, v)) ++covered;
-  }
-  return covered;
-}
-
-StatusOr<double> LossMetric::LabelLoss(const Anonymization& anonymization,
-                                       size_t column,
-                                       const std::string& label) {
-  if (!anonymization.scheme.has_value()) return NeedsScheme();
-  const ValueHierarchy* hierarchy =
-      anonymization.scheme->hierarchies().ForColumn(column);
-  if (hierarchy == nullptr) return NoHierarchy();
-  MDC_ASSIGN_OR_RETURN(EncodedView view,
-                       EncodedView::Build(*anonymization.original, {column}));
-  return ChargeLabel(*hierarchy, view.distinct_values(0), label);
-}
 
 StatusOr<PropertyVector> LossMetric::PerTupleLoss(
     const Anonymization& anonymization) {
@@ -65,25 +28,38 @@ StatusOr<PropertyVector> LossMetric::PerTupleLoss(
                        EncodedView::Build(*anonymization.original,
                                           anonymization.qi_columns));
   std::vector<double> loss(rows, 0.0);
+  // No row uses a label, so no column is charged or checked.
+  if (rows == 0) return PropertyVector("lm-loss", std::move(loss));
   for (size_t pos = 0; pos < anonymization.qi_columns.size(); ++pos) {
     const size_t column = anonymization.qi_columns[pos];
     const ValueHierarchy* hierarchy =
         anonymization.scheme->hierarchies().ForColumn(column);
+    if (hierarchy == nullptr) return NoHierarchy();
     const std::vector<Value>& distinct = view.distinct_values(pos);
-    // One charge per label code, computed on the first row that uses it:
-    // a label table may hold labels no row uses.
+    if (distinct.size() <= 1) continue;  // Every charge is 0.
+    const double denominator = static_cast<double>(distinct.size() - 1);
+    // One charge per label code; a label table may hold labels no row
+    // uses, so an uncovered label is an error only when a row carries it.
     const std::vector<std::string>& labels =
         anonymization.release.dictionary(column);
-    const std::span<const uint32_t> codes = anonymization.release.codes(column);
-    std::vector<std::optional<double>> label_loss(labels.size());
-    for (size_t r = 0; r < rows; ++r) {
-      std::optional<double>& charge = label_loss[codes[r]];
-      if (!charge.has_value()) {
-        if (hierarchy == nullptr) return NoHierarchy();
-        MDC_ASSIGN_OR_RETURN(
-            charge, ChargeLabel(*hierarchy, distinct, labels[codes[r]]));
+    const std::vector<size_t> covered =
+        CountCovered(*hierarchy, distinct, labels);
+    std::vector<double> charge(labels.size(), 0.0);
+    for (size_t code = 0; code < labels.size(); ++code) {
+      if (covered[code] > 0) {
+        charge[code] = static_cast<double>(covered[code] - 1) / denominator;
       }
-      loss[r] += *charge;
+    }
+    const std::span<const uint32_t> codes = anonymization.release.codes(column);
+    for (size_t r = 0; r < rows; ++r) {
+      if (anonymization.suppressed[r]) {
+        loss[r] += 1.0;  // A suppressed cell covers every present value.
+      } else if (covered[codes[r]] == 0) {
+        return Status::Internal("label '" + labels[codes[r]] +
+                                "' covers no present value of its column");
+      } else {
+        loss[r] += charge[codes[r]];
+      }
     }
   }
   return PropertyVector("lm-loss", std::move(loss));

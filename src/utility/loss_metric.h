@@ -3,10 +3,12 @@
 //
 // LM charges each generalized quasi-identifier cell (m-1)/(M-1), where m is
 // the number of distinct values *present in the data set* that the cell's
-// label covers and M the number of distinct present values of the
-// attribute. A per-tuple loss is the sum over QI cells (in [0, #QI]);
-// per-tuple utility is (#QI - loss), higher better — the orientation the
-// paper's §5.5 example uses for its utility property vectors u_a, u_b.
+// label covers (ValueHierarchy::Covers: the label lies on the value's
+// generalization chain) and M the number of distinct present values of the
+// attribute. A suppressed cell covers all M. A per-tuple loss is the sum
+// over QI cells (in [0, #QI]); per-tuple utility is (#QI - loss), higher
+// better — the orientation the paper's §5.5 example uses for its utility
+// property vectors u_a, u_b.
 //
 // The paper does not fully specify the hierarchy conventions behind its
 // printed utility numbers; present-value semantics reproduces the
@@ -28,7 +30,9 @@ namespace mdc {
 class LossMetric {
  public:
   // Requires anonymization.scheme (full-domain releases). Lower is better;
-  // entries lie in [0, #QI].
+  // entries lie in [0, #QI]. Each QI column's coverage is counted once
+  // (CountCovered over its present values and its label dictionary), then
+  // each row adds its cells' charges in QI column order.
   static StatusOr<PropertyVector> PerTupleLoss(
       const Anonymization& anonymization);
 
@@ -38,24 +42,7 @@ class LossMetric {
 
   // Sum of per-tuple losses.
   static StatusOr<double> TotalLoss(const Anonymization& anonymization);
-
-  // LM charge of a single label for `column` of the original data set:
-  // (covered-1)/(M-1) over distinct present values. The per-label
-  // reference: PerTupleLoss charges each label a row uses the same way,
-  // listing the column's present values once instead of once per label.
-  static StatusOr<double> LabelLoss(const Anonymization& anonymization,
-                                    size_t column, const std::string& label);
 };
-
-namespace internal {
-
-// How many of `distinct`, a column's present original values, `label`
-// covers: the one coverage count LM and the entropy metric charge from.
-size_t CoveredCount(const ValueHierarchy& hierarchy,
-                    const std::vector<Value>& distinct,
-                    const std::string& label);
-
-}  // namespace internal
 
 class ClassSpreadLoss {
  public:

@@ -54,6 +54,7 @@
 #include "anonymize/mondrian.h"
 #include "common/rng.h"
 #include "core/properties.h"
+#include "coverage_reference.h"
 #include "hierarchy/interval_hierarchy.h"
 #include "hierarchy/suffix_hierarchy.h"
 #include "hierarchy/taxonomy_hierarchy.h"
@@ -434,7 +435,8 @@ double RefEstimatedCount(const Anonymization& anonymization,
 }
 
 // LM and entropy loss with each column's present values listed by
-// RefDistinctValues; the charges go through the library's coverage count.
+// RefDistinctValues; each label's coverage is asked of every present
+// value under the hierarchy's former rule (coverage_reference.h).
 std::vector<double> RefLossMetric(const Anonymization& anonymization) {
   std::vector<double> loss(anonymization.row_count(), 0.0);
   for (size_t column : anonymization.qi_columns) {
@@ -447,7 +449,7 @@ std::vector<double> RefLossMetric(const Anonymization& anonymization) {
           column)[anonymization.release.codes(column)[r]];
       if (distinct.size() <= 1) continue;
       const size_t covered =
-          internal::CoveredCount(*hierarchy, distinct, label);
+          coverage_reference::CoveredCount(*hierarchy, distinct, label);
       loss[r] += static_cast<double>(covered - 1) /
                  static_cast<double>(distinct.size() - 1);
     }
@@ -470,7 +472,7 @@ std::vector<double> RefEntropyLoss(const Anonymization& anonymization) {
       const std::string& label = anonymization.release.dictionary(
           column)[anonymization.release.codes(column)[r]];
       const size_t covered =
-          internal::CoveredCount(*hierarchy, distinct, label);
+          coverage_reference::CoveredCount(*hierarchy, distinct, label);
       loss[r] += std::log2(static_cast<double>(covered)) / denom / qi;
     }
   }

@@ -11,8 +11,9 @@
 // The grouping legs hold the one grouping kernel, FromCodeColumns, to an
 // ordered map over full code tuples at every key width, and FromColumns
 // (hence every EvaluateNode partition) to the string-keyed map it
-// replaced. The utility legs hold LM's per-tuple loss to its per-label
-// reference and the entropy metric to digests of its former output.
+// replaced. The utility legs hold LM and entropy loss to their per-label
+// reference (coverage_reference.h) and the entropy metric to digests of
+// its former output.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -37,6 +37,7 @@
 #include "anonymize/stochastic.h"
 #include "anonymize/top_down.h"
 #include "common/rng.h"
+#include "coverage_reference.h"
 #include "datagen/census_generator.h"
 #include "paper/paper_data.h"
 #include "utility/entropy_loss.h"
@@ -785,11 +786,31 @@ Anonymization NodeRelease(const EncodedNodeEvaluator& evaluator,
   return std::move(materialized->anonymization);
 }
 
-// PerTupleLoss lists each column's present values once; the per-label
-// LabelLoss is the reference. Each tuple's loss must equal the sum, in QI
-// column order, of its cells' LabelLoss, bit for bit. A label's LabelLoss
-// depends only on the original column, its hierarchy and the label, so
-// each is asked once per workload.
+// LM and entropy loss count each column's coverage once, over the
+// generalization chains of its present values; the per-label count in
+// coverage_reference.h (each label asked of each present value under the
+// hierarchy's former rule) is the reference. Each tuple's losses must
+// equal the per-cell sums of the reference charges, in QI column order,
+// bit for bit. A label's count depends only on the original column, its
+// hierarchy and the label, so each is asked once per workload.
+void ExpectReferenceLosses(const Anonymization& release,
+                           coverage_reference::CoverageMemo& memo) {
+  auto lm = LossMetric::PerTupleLoss(release);
+  ASSERT_TRUE(lm.ok()) << lm.status().ToString();
+  auto entropy = EntropyLoss::PerTupleLoss(release);
+  ASSERT_TRUE(entropy.ok()) << entropy.status().ToString();
+  const coverage_reference::Losses expected =
+      coverage_reference::PerTupleLosses(release, &memo);
+  for (size_t row = 0; row < release.row_count(); ++row) {
+    ASSERT_EQ(std::bit_cast<uint64_t>((*lm)[row]),
+              std::bit_cast<uint64_t>(expected.lm[row]))
+        << "lm, row " << row;
+    ASSERT_EQ(std::bit_cast<uint64_t>((*entropy)[row]),
+              std::bit_cast<uint64_t>(expected.entropy[row]))
+        << "entropy, row " << row;
+  }
+}
+
 TEST(LossMetricOracleTest, PerTupleLossIsThePerCellSumOfLabelLoss) {
   size_t starred = 0;
   for (const Workload& workload : Workloads()) {
@@ -799,38 +820,11 @@ TEST(LossMetricOracleTest, PerTupleLossIsThePerCellSumOfLabelLoss) {
     auto evaluator =
         EncodedNodeEvaluator::Build(workload.data, workload.hierarchies);
     ASSERT_TRUE(evaluator.ok());
-    std::map<std::pair<size_t, std::string>, double> label_loss;
+    coverage_reference::CoverageMemo memo;
     for (const LatticeNode& node : lattice->AllNodesByHeight()) {
       SCOPED_TRACE(Lattice::ToString(node));
       const Anonymization release = NodeRelease(*evaluator, node);
-      auto loss = LossMetric::PerTupleLoss(release);
-      ASSERT_TRUE(loss.ok()) << loss.status().ToString();
-      std::vector<double> expected(release.row_count(), 0.0);
-      for (size_t column : release.qi_columns) {
-        const std::vector<std::string>& labels =
-            release.release.dictionary(column);
-        const std::span<const uint32_t> codes = release.release.codes(column);
-        std::vector<std::optional<double>> charges(labels.size());
-        for (size_t row = 0; row < release.row_count(); ++row) {
-          std::optional<double>& charge = charges[codes[row]];
-          if (!charge.has_value()) {
-            const std::string& label = labels[codes[row]];
-            auto [it, inserted] = label_loss.try_emplace({column, label});
-            if (inserted) {
-              auto reference = LossMetric::LabelLoss(release, column, label);
-              ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-              it->second = *reference;
-            }
-            charge = it->second;
-          }
-          expected[row] += *charge;
-        }
-      }
-      for (size_t row = 0; row < release.row_count(); ++row) {
-        ASSERT_EQ(std::bit_cast<uint64_t>((*loss)[row]),
-                  std::bit_cast<uint64_t>(expected[row]))
-            << "row " << row;
-      }
+      ExpectReferenceLosses(release, memo);
       starred += std::count(release.suppressed.begin(),
                             release.suppressed.end(), true);
     }
@@ -838,9 +832,20 @@ TEST(LossMetricOracleTest, PerTupleLossIsThePerCellSumOfLabelLoss) {
   EXPECT_GT(starred, 0u);  // Starred cells were charged too.
 }
 
-// EntropyLoss counts coverage through LossMetric's helper; its per-tuple
-// losses keep the exact bits of its former copy of the loop, pinned as one
-// FNV-1a digest of every node's vector per workload.
+// The paper's Table 1 releases: T3a and T3b under chain A, T4 under B.
+TEST(LossMetricOracleTest, Table1ReleasesMatchTheReference) {
+  for (auto factory : {&paper::MakeT3a, &paper::MakeT3b, &paper::MakeT4}) {
+    auto release = factory();
+    ASSERT_TRUE(release.ok());
+    SCOPED_TRACE(release->algorithm);
+    coverage_reference::CoverageMemo memo;
+    ExpectReferenceLosses(*release, memo);
+  }
+}
+
+// EntropyLoss's per-tuple losses keep the exact bits of its former copy
+// of the loop, pinned as one FNV-1a digest of every node's vector per
+// workload.
 TEST(LossMetricOracleTest, EntropyLossKeepsItsDigests) {
   const std::map<std::string, uint64_t> pinned = {
       {"table1", 0x68dbb36c54983512ull},

@@ -1,9 +1,15 @@
-// Tests for the three hierarchy kinds and the nesting verifier.
+// Tests for the three hierarchy kinds, the nesting verifier, and the
+// coverage law: Covers and CountCovered, read off the generalization
+// chain, agree with each kind's former rule (coverage_reference.h) on
+// every label a level produces, except in the declared cases pinned at
+// the end.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "coverage_reference.h"
+#include "datagen/census_generator.h"
 #include "hierarchy/interval_hierarchy.h"
 #include "hierarchy/suffix_hierarchy.h"
 #include "hierarchy/taxonomy_hierarchy.h"
@@ -82,13 +88,6 @@ TEST(IntervalHierarchyTest, RejectsStringValue) {
 TEST(IntervalLabelTest, ParseRoundTrip) {
   Interval i{25, 35};
   EXPECT_EQ(i.ToLabel(), "(25,35]");
-  auto parsed = Interval::FromLabel("(25,35]");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->lo, 25.0);
-  EXPECT_DOUBLE_EQ(parsed->hi, 35.0);
-  EXPECT_FALSE(Interval::FromLabel("25-35").has_value());
-  EXPECT_FALSE(Interval::FromLabel("(35,25]").has_value());
-  EXPECT_FALSE(Interval::FromLabel("(a,b]").has_value());
 }
 
 // ---------------------------------------------------------------- suffix --
@@ -237,6 +236,163 @@ TEST(VerifyNestingTest, RejectsValueOutsideDomain) {
   std::vector<Value> maritals = {Value("CF-Spouse"), Value("Martian")};
   auto status = VerifyNesting(*paper::MaritalTaxonomy(), maritals);
   EXPECT_FALSE(status.ok());
+}
+
+// ------------------------------------------------------------ coverage --
+
+namespace ref = coverage_reference;
+
+// Ints and halves over [lo, hi], and a few reals beside bin edges.
+std::vector<Value> NumberDomain(int64_t lo, int64_t hi) {
+  std::vector<Value> values;
+  for (int64_t v = lo; v <= hi; ++v) {
+    values.emplace_back(v);
+    values.emplace_back(static_cast<double>(v) + 0.5);
+  }
+  for (double v : {24.999, 25.001, 34.75, 35.0000001, -0.25}) {
+    values.emplace_back(v);
+  }
+  return values;
+}
+
+CensusData Census(size_t rows, uint64_t seed) {
+  CensusConfig config;
+  config.rows = rows;
+  config.seed = seed;
+  auto census = GenerateCensus(config);
+  MDC_CHECK(census.ok());
+  return std::move(census).value();
+}
+
+TEST(CoversLawTest, PaperAgeChains) {
+  const std::vector<Value> ages = NumberDomain(-5, 105);
+  for (const auto& chain : {paper::AgeHierarchyA(), paper::AgeHierarchyB()}) {
+    SCOPED_TRACE(chain->Describe());
+    EXPECT_GT(ref::ExpectCoversMatches(*chain, ages, ref::IntervalCovers),
+              0u);
+  }
+}
+
+TEST(CoversLawTest, CensusAgeChain) {
+  const CensusData census = Census(50, 3);
+  EXPECT_GT(ref::ExpectCoversMatches(*census.hierarchies.ForColumn(0),
+                                     NumberDomain(0, 100),
+                                     ref::IntervalCovers),
+            0u);
+}
+
+TEST(CoversLawTest, SuffixOverIntsAndStrings) {
+  auto zip = SuffixHierarchy::Create(5);
+  ASSERT_TRUE(zip.ok());
+  const CensusData census = Census(400, 11);
+  std::vector<Value> values;
+  for (size_t r = 0; r < census.data->row_count(); ++r) {
+    values.push_back(census.data->cell(r, 1));  // Census zips, strings.
+  }
+  for (int64_t code : {0, 7, 982, 13052, 13053, 13250, 13299, 99999}) {
+    values.emplace_back(code);  // Zero-padded to five digits.
+  }
+  // Out of the domain: a real, a short code, a long one.
+  for (const Value& outside : {Value(2.5), Value("130"), Value("130531")}) {
+    values.push_back(outside);
+  }
+  EXPECT_GT(ref::ExpectCoversMatches(
+                *zip, values,
+                [&](const std::string& label, const Value& value) {
+                  return ref::SuffixCovers(*zip, label, value);
+                }),
+            0u);
+}
+
+TEST(CoversLawTest, PaperAndCensusTaxonomies) {
+  const auto marital = paper::MaritalTaxonomy();
+  const CensusData census = Census(50, 3);
+  std::vector<const ValueHierarchy*> trees = {marital.get()};
+  for (size_t column : {2, 3, 4}) {
+    trees.push_back(census.hierarchies.ForColumn(column));
+  }
+  for (const ValueHierarchy* hierarchy : trees) {
+    const auto& tree = dynamic_cast<const TaxonomyHierarchy&>(*hierarchy);
+    SCOPED_TRACE(tree.Describe());
+    const std::vector<std::string> leaves = tree.Leaves();
+    std::vector<Value> values(leaves.begin(), leaves.end());
+    // Inner nodes, unknown text and a number are outside the domain.
+    for (const Value& outside :
+         {Value("*"), Value("Married"), Value("Martian"), Value(int64_t{1})}) {
+      values.push_back(outside);
+    }
+    const ref::Taxonomy& reference = ref::KnownTaxonomy(tree);
+    EXPECT_GT(ref::ExpectCoversMatches(
+                  tree, values,
+                  [&](const std::string& label, const Value& value) {
+                    return reference.Covers(label, value);
+                  }),
+              0u);
+  }
+}
+
+TEST(CoversLawTest, UnbalancedTree) {
+  const ref::Edges edges = {
+      {"shallow", "*"}, {"group", "*"}, {"deep1", "group"}, {"deep2", "group"}};
+  TaxonomyHierarchy::Builder builder;
+  for (const auto& [child, parent] : edges) builder.Add(child, parent);
+  auto tree = builder.Build();
+  ASSERT_TRUE(tree.ok());
+  const ref::Taxonomy reference(edges);
+  const std::vector<Value> values = {Value("shallow"), Value("deep1"),
+                                     Value("deep2"), Value("group")};
+  EXPECT_EQ(ref::ExpectCoversMatches(
+                *tree, values,
+                [&](const std::string& label, const Value& value) {
+                  return reference.Covers(label, value);
+                }),
+            5u * 4u);  // shallow, deep1, deep2, group, * × four values.
+  // "*" is the shallow leaf's level-1 label and covers all three leaves.
+  EXPECT_EQ(CountCovered(*tree, values, std::vector<std::string>{"*"}),
+            std::vector<size_t>{3});
+}
+
+// Declared changes: labels on which the former per-kind rules and the
+// chain disagree. Each is a label no level gives the value.
+
+TEST(CoversDeclaredChangeTest, RoundedIntervalLabelCoversItsOwnValues) {
+  // 6 × 0.1 is 0.6000000000000001: its bin prints "(0.4,0.6]", which
+  // parses back to an upper bound below the value.
+  auto hierarchy = IntervalHierarchy::Create({{0.0, 0.2}});
+  ASSERT_TRUE(hierarchy.ok());
+  std::vector<Value> values;
+  for (int i = 1; i <= 6; ++i) values.emplace_back(i * 0.1);
+  const Value& six = values.back();
+  ASSERT_EQ(*hierarchy->Generalize(six, 1), "(0.4,0.6]");
+  EXPECT_TRUE(hierarchy->Covers("(0.4,0.6]", six));
+  EXPECT_FALSE(ref::IntervalCovers("(0.4,0.6]", six));
+  EXPECT_TRUE(VerifyNesting(*hierarchy, values).ok());
+  EXPECT_EQ(CountCovered(*hierarchy, values,
+                         std::vector<std::string>{"(0,0.2]", "(0.2,0.4]",
+                                                  "(0.4,0.6]"}),
+            (std::vector<size_t>{2, 2, 2}));
+}
+
+TEST(CoversDeclaredChangeTest, IntervalLabelThatIsNoLevelsBin) {
+  IntervalHierarchy h = AgeChainA();
+  EXPECT_FALSE(h.Covers("(20,30]", Value(int64_t{28})));
+  EXPECT_TRUE(ref::IntervalCovers("(20,30]", Value(int64_t{28})));
+}
+
+TEST(CoversDeclaredChangeTest, SuffixLabelWithStarInsideTheCode) {
+  auto h = SuffixHierarchy::Create(5);
+  ASSERT_TRUE(h.ok());
+  EXPECT_FALSE(h->Covers("13*53", Value("13053")));
+  EXPECT_TRUE(ref::SuffixCovers(*h, "13*53", Value("13053")));
+}
+
+TEST(CoversDeclaredChangeTest, SuffixCodeThatContainsAStar) {
+  auto h = SuffixHierarchy::Create(5);
+  ASSERT_TRUE(h.ok());
+  // "1*053" is its own level-0 label; it no longer stands for "13053".
+  EXPECT_TRUE(h->Covers("1*053", Value("1*053")));
+  EXPECT_FALSE(h->Covers("1*053", Value("13053")));
+  EXPECT_TRUE(ref::SuffixCovers(*h, "1*053", Value("13053")));
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "common/run_context.h"
 #include "common/snapshot.h"
 #include "core/property_matrix.h"
-#include "hierarchy/interval_hierarchy.h"
+#include "coverage_reference.h"
 #include "hierarchy/spec_parser.h"
 #include "hierarchy/suffix_hierarchy.h"
 #include "hierarchy/taxonomy_hierarchy.h"
@@ -93,17 +93,6 @@ TEST(RobustnessTest, DatasetFromCsvRejectsRaggedRows) {
   EXPECT_FALSE(Dataset::FromCsv(schema, "zip\nx\n").ok());
 }
 
-TEST(RobustnessTest, IntervalLabelParserOnGarbage) {
-  Rng rng(4);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string garbage = RandomText(rng, rng.NextBelow(20));
-    auto interval = Interval::FromLabel(garbage);
-    if (interval.has_value()) {
-      EXPECT_LT(interval->lo, interval->hi);  // Any accept must be sane.
-    }
-  }
-}
-
 TEST(RobustnessTest, ValueParseExtremes) {
   EXPECT_FALSE(Value::Parse("9223372036854775808", AttributeType::kInt)
                    .ok());  // INT64_MAX + 1.
@@ -118,20 +107,33 @@ TEST(RobustnessTest, ValueParseExtremes) {
 TEST(RobustnessTest, TaxonomyBuilderNeverCrashesOnRandomEdges) {
   // Random edge soups: duplicate labels, unknown parents, self-loops,
   // re-rooting attempts. Build() must return ok or a clean error, and any
-  // accepted tree must generalize its leaves sanely at every level.
+  // accepted tree must generalize its leaves sanely at every level and
+  // cover them as the ancestor walk over its edges does (every Add of an
+  // accepted tree succeeded, so its edges are exactly the ones drawn).
   static constexpr const char* kLabels[] = {"*",  "a",  "b",  "c", "d",
                                             "aa", "ab", "ba", "",  "a|b"};
   constexpr size_t kLabelCount = sizeof(kLabels) / sizeof(kLabels[0]);
   Rng rng(5);
+  size_t accepted = 0;
   for (int trial = 0; trial < 300; ++trial) {
     TaxonomyHierarchy::Builder builder;
+    coverage_reference::Edges drawn;
     size_t edges = rng.NextBelow(12);
     for (size_t e = 0; e < edges; ++e) {
-      builder.Add(kLabels[rng.NextBelow(kLabelCount)],
-                  kLabels[rng.NextBelow(kLabelCount)]);
+      drawn.emplace_back(kLabels[rng.NextBelow(kLabelCount)],
+                         kLabels[rng.NextBelow(kLabelCount)]);
+      builder.Add(drawn.back().first, drawn.back().second);
     }
     auto tree = builder.Build();
     if (!tree.ok()) continue;
+    ++accepted;
+    const coverage_reference::Taxonomy reference(drawn);
+    std::vector<Value> values;
+    for (const char* label : kLabels) values.emplace_back(label);
+    coverage_reference::ExpectCoversMatches(
+        *tree, values, [&](const std::string& label, const Value& value) {
+          return reference.Covers(label, value);
+        });
     EXPECT_GE(tree->height(), 1);
     EXPECT_GE(tree->leaf_count(), 1u);
     for (const std::string& leaf : tree->Leaves()) {
@@ -145,6 +147,7 @@ TEST(RobustnessTest, TaxonomyBuilderNeverCrashesOnRandomEdges) {
       EXPECT_FALSE(tree->Generalize(Value(leaf), tree->height() + 1).ok());
     }
   }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(RobustnessTest, SpecParserTaxonomyBlockFuzz) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coverage_reference.h"
 #include "paper/paper_data.h"
 
 namespace mdc {
@@ -67,6 +68,44 @@ TEST(SpecParserTest, ParsesFullSpec) {
   EXPECT_TRUE(
       hierarchies->ForColumn(2)->Covers("Married", Value("CF-Spouse")));
   EXPECT_EQ(hierarchies->ForColumn(2)->height(), 2);
+}
+
+// The example in spec_parser.h's header: "Not Married" is a leaf one
+// step below the root, so its level-1 label is already "*".
+constexpr const char* kHeaderExampleSpec = R"(
+column zip suffix 5
+column age intervals 10@5 20@15
+column marital taxonomy
+edge Married|*
+edge Not Married|*
+edge CF-Spouse|Married
+edge Spouse Present|Married
+end
+)";
+
+TEST(SpecParserTest, HeaderExampleTaxonomyCoversAlongTheChain) {
+  auto hierarchies = ParseHierarchySpec(SimpleSchema(), kHeaderExampleSpec);
+  ASSERT_TRUE(hierarchies.ok()) << hierarchies.status().ToString();
+  const ValueHierarchy& tree = *hierarchies->ForColumn(2);
+  ASSERT_EQ(tree.height(), 2);
+  const coverage_reference::Taxonomy reference({{"Married", "*"},
+                                                {"Not Married", "*"},
+                                                {"CF-Spouse", "Married"},
+                                                {"Spouse Present", "Married"}});
+  const std::vector<Value> leaves = {Value("Not Married"), Value("CF-Spouse"),
+                                     Value("Spouse Present")};
+  EXPECT_EQ(coverage_reference::ExpectCoversMatches(
+                tree, leaves,
+                [&](const std::string& label, const Value& value) {
+                  return reference.Covers(label, value);
+                }),
+            5u * 3u);
+  // Level 1 gives "*" to "Not Married" alone, yet "*" covers all three
+  // leaves: a count per level would charge those rows 0 instead of 1.
+  EXPECT_EQ(*tree.Generalize(Value("Not Married"), 1), "*");
+  EXPECT_EQ(CountCovered(tree, leaves,
+                         std::vector<std::string>{"*", "Married"}),
+            (std::vector<size_t>{3, 2}));
 }
 
 TEST(SpecParserTest, ParsedSpecReproducesT3a) {

@@ -6,6 +6,8 @@
 #include <algorithm>
 
 #include "anonymize/equivalence.h"
+#include "hierarchy/interval_hierarchy.h"
+#include "hierarchy/taxonomy_hierarchy.h"
 #include "paper/paper_data.h"
 #include "utility/avg_class_size.h"
 #include "utility/discernibility.h"
@@ -31,24 +33,103 @@ Fixture Make(StatusOr<Anonymization> (*factory)()) {
 
 // ------------------------------------------------------------ LossMetric --
 
+// Row `row`'s LM charge for QI column `column` alone: PerTupleLoss of the
+// release with that column as its only QI.
+double CellLoss(const Anonymization& anonymization, size_t column,
+                size_t row) {
+  Anonymization one = anonymization;
+  one.qi_columns = {column};
+  auto loss = LossMetric::PerTupleLoss(one);
+  MDC_CHECK(loss.ok());
+  return (*loss)[row];
+}
+
 TEST(LossMetricTest, LabelLossPresentValueSemantics) {
   Fixture t3a = Make(&paper::MakeT3a);
+  // Row 1 is (13053, 28, CF-Spouse), released as ("1305*", "(25,35]",
+  // "Married").
+  ASSERT_EQ(t3a.anonymization.release.cell(0, 0).AsString(), "1305*");
+  ASSERT_EQ(t3a.anonymization.release.cell(0, 1).AsString(), "(25,35]");
+  ASSERT_EQ(t3a.anonymization.release.cell(0, 2).AsString(), "Married");
   // "1305*" covers present zips {13052, 13053}: (2-1)/(6-1) = 0.2.
-  auto zip_loss = LossMetric::LabelLoss(t3a.anonymization, 0, "1305*");
-  ASSERT_TRUE(zip_loss.ok());
-  EXPECT_NEAR(*zip_loss, 0.2, 1e-12);
+  EXPECT_NEAR(CellLoss(t3a.anonymization, 0, 0), 0.2, 1e-12);
   // "(25,35]" covers present ages {26, 28, 31}: (3-1)/(10-1).
-  auto age_loss = LossMetric::LabelLoss(t3a.anonymization, 1, "(25,35]");
-  ASSERT_TRUE(age_loss.ok());
-  EXPECT_NEAR(*age_loss, 2.0 / 9.0, 1e-12);
+  EXPECT_NEAR(CellLoss(t3a.anonymization, 1, 0), 2.0 / 9.0, 1e-12);
   // "Married" covers 2 of 6 present marital values: 0.2.
-  auto marital_loss = LossMetric::LabelLoss(t3a.anonymization, 2, "Married");
-  ASSERT_TRUE(marital_loss.ok());
-  EXPECT_NEAR(*marital_loss, 0.2, 1e-12);
+  EXPECT_NEAR(CellLoss(t3a.anonymization, 2, 0), 0.2, 1e-12);
   // "*" covers everything: loss 1.
-  auto star_loss = LossMetric::LabelLoss(t3a.anonymization, 2, "*");
-  ASSERT_TRUE(star_loss.ok());
-  EXPECT_NEAR(*star_loss, 1.0, 1e-12);
+  ASSERT_TRUE(Generalizer::SuppressRows(t3a.anonymization, {0}).ok());
+  ASSERT_EQ(t3a.anonymization.release.cell(0, 2).AsString(), "*");
+  EXPECT_NEAR(CellLoss(t3a.anonymization, 2, 0), 1.0, 1e-12);
+}
+
+// Declared change: a real column of i × 0.1 for i = 1..6 under one
+// 0.2-wide interval level. Each label covers two present values, so every
+// row is charged (2-1)/(6-1); the former interval rule re-parsed the
+// printed "(0.4,0.6]" and missed 6 × 0.1 = 0.6000000000000001, charging
+// the rows of 0.5 and 0.6000000000000001 0.
+TEST(LossMetricTest, RoundedIntervalLabelChargedByItsChain) {
+  auto schema = Schema::Create(
+      {{"x", AttributeType::kReal, AttributeRole::kQuasiIdentifier}});
+  ASSERT_TRUE(schema.ok());
+  auto data = std::make_shared<Dataset>(std::move(schema).value());
+  for (int i = 1; i <= 6; ++i) {
+    ASSERT_TRUE(data->AppendRow({Value(i * 0.1)}).ok());
+  }
+  auto interval = IntervalHierarchy::Create({{0.0, 0.2}});
+  ASSERT_TRUE(interval.ok());
+  HierarchySet hierarchies;
+  ASSERT_TRUE(hierarchies
+                  .Bind(0, std::make_shared<const IntervalHierarchy>(
+                               std::move(interval).value()))
+                  .ok());
+  auto scheme = GeneralizationScheme::Create(std::move(hierarchies), {1});
+  ASSERT_TRUE(scheme.ok());
+  auto release = Generalizer::Apply(data, *scheme);
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  ASSERT_EQ(release->release.cell(5, 0).AsString(), "(0.4,0.6]");
+  auto loss = LossMetric::PerTupleLoss(*release);
+  ASSERT_TRUE(loss.ok()) << loss.status().ToString();
+  for (size_t row = 0; row < 6; ++row) {
+    EXPECT_EQ((*loss)[row], 1.0 / 5.0) << "row " << row;
+  }
+}
+
+// A suppressed cell covers every present value even when the taxonomy's
+// root is not "*": suppression always writes kSuppressedLabel, which such
+// a tree does not hold, and both metrics used to fail on it.
+TEST(LossMetricTest, SuppressedCellUnderANonStarRoot) {
+  TaxonomyHierarchy::Builder builder("ANY");
+  builder.Add("A", "ANY").Add("B", "ANY");
+  builder.Add("a1", "A").Add("a2", "A").Add("b1", "B").Add("b2", "B");
+  auto tree = builder.Build();
+  ASSERT_TRUE(tree.ok());
+  auto schema = Schema::Create(
+      {{"t", AttributeType::kString, AttributeRole::kQuasiIdentifier}});
+  ASSERT_TRUE(schema.ok());
+  auto data = std::make_shared<Dataset>(std::move(schema).value());
+  for (const char* leaf : {"a1", "a1", "a2", "b1", "b2", "b2"}) {
+    ASSERT_TRUE(data->AppendRow({Value(leaf)}).ok());
+  }
+  HierarchySet hierarchies;
+  ASSERT_TRUE(hierarchies
+                  .Bind(0, std::make_shared<const TaxonomyHierarchy>(
+                               std::move(tree).value()))
+                  .ok());
+  auto scheme = GeneralizationScheme::Create(std::move(hierarchies), {0});
+  ASSERT_TRUE(scheme.ok());
+  auto release = Generalizer::Apply(data, *scheme);
+  ASSERT_TRUE(release.ok());
+  ASSERT_TRUE(Generalizer::SuppressRows(*release, {3}).ok());
+  ASSERT_EQ(release->release.cell(3, 0).AsString(), kSuppressedLabel);
+
+  const std::vector<double> expected = {0, 0, 0, 1, 0, 0};
+  auto lm = LossMetric::PerTupleLoss(*release);
+  ASSERT_TRUE(lm.ok()) << lm.status().ToString();
+  EXPECT_EQ(lm->values(), expected);
+  auto entropy = EntropyLoss::PerTupleLoss(*release);
+  ASSERT_TRUE(entropy.ok()) << entropy.status().ToString();
+  EXPECT_EQ(entropy->values(), expected);
 }
 
 TEST(LossMetricTest, PaperStructureRows148EqualAcrossT3aT3b) {
