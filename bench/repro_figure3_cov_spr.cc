@@ -53,21 +53,24 @@ int main() {
                  CoverageBetter(two_anon, three_anon) ? 1.0 : 0.0);
 
   repro::Banner("Packed engine cross-check (P_cov / P_spr, fused pass)");
-  PairwiseStats stats = ComputePairwiseStats(
-      d1.values().data(), d2.values().data(), d1.size());
+  auto packed = [](const PropertyVector& first, const PropertyVector& second) {
+    auto matrix = PropertyMatrix::FromSet({first, second});
+    MDC_CHECK(matrix.ok());
+    auto ranked = AllPairsCompare(*matrix);
+    MDC_CHECK(ranked.ok());
+    return ranked->pairs[0];
+  };
+  const PairComparison pair = packed(d1, d2);
   repro::CheckEq("packed P_cov(D1,D2) == scalar", CoverageIndex(d1, d2),
-                 CoverageFromStats(stats, d1.size(), /*forward=*/true),
-                 /*tolerance=*/0.0);
+                 pair.cov12, /*tolerance=*/0.0);
   repro::CheckEq("packed P_cov(D2,D1) == scalar", CoverageIndex(d2, d1),
-                 CoverageFromStats(stats, d1.size(), /*forward=*/false),
-                 /*tolerance=*/0.0);
+                 pair.cov21, /*tolerance=*/0.0);
   repro::CheckEq("packed P_spr(D1,D2) == scalar", SpreadIndex(d1, d2),
-                 stats.spr12, /*tolerance=*/0.0);
+                 pair.spr12, /*tolerance=*/0.0);
   repro::CheckEq("packed P_spr(D2,D1) == scalar", SpreadIndex(d2, d1),
-                 stats.spr21, /*tolerance=*/0.0);
-  PairwiseStats anon_stats = ComputePairwiseStats(
-      two_anon.values().data(), three_anon.values().data(), two_anon.size());
+                 pair.spr21, /*tolerance=*/0.0);
+  const PairComparison anon_pair = packed(two_anon, three_anon);
   repro::CheckEq("packed spread still prefers 2-anon", 1.0,
-                 anon_stats.spr12 > anon_stats.spr21 ? 1.0 : 0.0);
+                 anon_pair.spr12 > anon_pair.spr21 ? 1.0 : 0.0);
   return repro::Finish();
 }

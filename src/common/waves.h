@@ -23,10 +23,13 @@
 // of the commits. `position` is left at the first unfinished item (the
 // failed one on error, `end` on success) for the caller's checkpoint.
 //
-// AllPairsCompare (core/compare_engine.cc) and the stochastic search's
-// speculative walk keep their own loops: the first evaluates groups of
-// pairs that share a row, the second evaluates neighbours before their
-// admission is replayed and discards what the walk does not reach.
+// Three loops stay outside the driver. AllPairsCompare
+// (core/compare_engine.cc) evaluates groups of pairs that share a row.
+// Pareto front extraction (ExtractFront in core/pareto.cc) charges every
+// candidate up front, then flags the dominated ones in one parallel pass
+// with nothing to commit item by item. The stochastic search's
+// speculative walk evaluates neighbours before their admission is
+// replayed and discards what the walk does not reach.
 
 #ifndef MDC_COMMON_WAVES_H_
 #define MDC_COMMON_WAVES_H_

@@ -10,6 +10,52 @@
 namespace mdc {
 namespace {
 
+// A pair's strict counts and spread sums, from one fused blocked pass.
+// Both rows are finite (the PropertyMatrix contract), so the weak counts
+// of P_cov follow from the strict ones by totality: d1[i] >= d2[i] ⟺
+// ¬(d2[i] > d1[i]), which halves the count work per element.
+struct PairwiseStats {
+  uint64_t gt12 = 0;  // |{i : d1[i] > d2[i]}|  (P_binary, 1 vs 2)
+  uint64_t gt21 = 0;
+  double spr12 = 0.0;  // Σ max(d1[i] - d2[i], 0)  (P_spr, 1 vs 2)
+  double spr21 = 0.0;
+};
+
+DominanceRelation RelationFromFlags(bool first_better, bool second_better) {
+  if (first_better && second_better) return DominanceRelation::kIncomparable;
+  if (first_better) return DominanceRelation::kFirstDominates;
+  if (second_better) return DominanceRelation::kSecondDominates;
+  return DominanceRelation::kEqual;
+}
+
+// P_cov(d1, d2) when `forward`, else P_cov(d2, d1).
+double CoverageFromStats(const PairwiseStats& stats, size_t n, bool forward) {
+  return static_cast<double>(n - (forward ? stats.gt21 : stats.gt12)) /
+         static_cast<double>(n);
+}
+
+// Increments the deterministic cmp.* counters for one committed pair
+// comparison. Called from the serial commit only (the counters'
+// thread-count invariance depends on it).
+void CommitComparisonMetrics(DominanceRelation relation, size_t cols) {
+  MDC_METRIC_INC("cmp.pairs_compared");
+  MDC_METRIC_ADD("cmp.elements", static_cast<uint64_t>(cols));
+  switch (relation) {
+    case DominanceRelation::kEqual:
+      MDC_METRIC_INC("cmp.relation.equal");
+      break;
+    case DominanceRelation::kFirstDominates:
+      MDC_METRIC_INC("cmp.relation.first");
+      break;
+    case DominanceRelation::kSecondDominates:
+      MDC_METRIC_INC("cmp.relation.second");
+      break;
+    case DominanceRelation::kIncomparable:
+      MDC_METRIC_INC("cmp.relation.incomparable");
+      break;
+  }
+}
+
 // One-vs-many evaluation of a run of pairs (i, j_0..j_{count-1}) sharing
 // their first row. Blocks are the OUTER loop and partners the inner one,
 // so each block of row i is loaded once per `count` partner blocks — at
@@ -65,14 +111,10 @@ void EvaluateRowGroup(const PropertyMatrix& matrix, size_t i,
   }
   for (size_t s = 0; s < count; ++s) {
     const auto [first, second] = pairs[s];
-    // Finite entries are totally ordered, so the weak counts follow from
-    // the strict ones by totality.
-    stats[s].ge12 = n - stats[s].gt21;
-    stats[s].ge21 = n - stats[s].gt12;
     PairComparison& pair = out[s];
     pair.first = first;
     pair.second = second;
-    pair.relation = RelationFromStats(stats[s]);
+    pair.relation = RelationFromFlags(stats[s].gt12 > 0, stats[s].gt21 > 0);
     pair.cov12 = CoverageFromStats(stats[s], n, /*forward=*/true);
     pair.cov21 = CoverageFromStats(stats[s], n, /*forward=*/false);
     pair.binary12 = stats[s].gt12;
@@ -134,10 +176,7 @@ DominanceRelation PackedCompareDominance(const double* d1, const double* d2,
   bool second_better = false;
   ActiveCompareKernels().strict_flags(d1, d2, n, &first_better,
                                       &second_better);
-  if (first_better && second_better) return DominanceRelation::kIncomparable;
-  if (first_better) return DominanceRelation::kFirstDominates;
-  if (second_better) return DominanceRelation::kSecondDominates;
-  return DominanceRelation::kEqual;
+  return RelationFromFlags(first_better, second_better);
 }
 
 double PackedRankIndex(const double* d, const double* d_max, size_t n,
@@ -150,76 +189,11 @@ double PackedRankIndex(const double* d, const double* d_max, size_t n,
   return std::pow(sum, 1.0 / p);
 }
 
-PairwiseStats ComputePairwiseStats(const double* d1, const double* d2,
-                                   size_t n, size_t block) {
-  MDC_CHECK_GT(n, 0u);
-  MDC_CHECK_GT(block, 0u);
-  const CompareKernels& kernels = ActiveCompareKernels();
-  PairwiseStats stats;
-  stats.min1 = d1[0];
-  stats.min2 = d2[0];
-  for (size_t start = 0; start < n; start += block) {
-    const size_t end = std::min(n, start + block);
-    const size_t len = end - start;
-    // Fused strict counts + spread sums, one load per cache line. The
-    // counts are order-free; the spread accumulators carry across blocks
-    // in index order so results match the scalar code bit for bit
-    // (reassociating per block would not; see compare_kernels.h for how
-    // the SIMD variants keep the chain order). Only the two strict
-    // counters are accumulated; the weak counts follow from totality
-    // once the sweep is done.
-    kernels.count_spread(d1 + start, d2 + start, len, &stats.gt12,
-                         &stats.gt21, &stats.spr12, &stats.spr21);
-    // Running mins, blocked for locality, with min_element's
-    // first-occurrence rule (the kernel contract).
-    stats.min1 = kernels.row_min(d1 + start, len, stats.min1);
-    stats.min2 = kernels.row_min(d2 + start, len, stats.min2);
-  }
-  // Finite entries are totally ordered: d1[i] >= d2[i] ⟺ ¬(d2[i] > d1[i]).
-  stats.ge12 = n - stats.gt21;
-  stats.ge21 = n - stats.gt12;
-  return stats;
-}
-
-DominanceRelation RelationFromStats(const PairwiseStats& stats) {
-  const bool first_better = stats.gt12 > 0;
-  const bool second_better = stats.gt21 > 0;
-  if (first_better && second_better) return DominanceRelation::kIncomparable;
-  if (first_better) return DominanceRelation::kFirstDominates;
-  if (second_better) return DominanceRelation::kSecondDominates;
-  return DominanceRelation::kEqual;
-}
-
-double CoverageFromStats(const PairwiseStats& stats, size_t n, bool forward) {
-  MDC_CHECK_GT(n, 0u);
-  return static_cast<double>(forward ? stats.ge12 : stats.ge21) /
-         static_cast<double>(n);
-}
-
 ComparatorOutcome OutcomeFromScalars(double first, double second,
                                      double epsilon) {
   if (first > second + epsilon) return ComparatorOutcome::kFirstBetter;
   if (second > first + epsilon) return ComparatorOutcome::kSecondBetter;
   return ComparatorOutcome::kEquivalent;
-}
-
-void CommitComparisonMetrics(DominanceRelation relation, size_t cols) {
-  MDC_METRIC_INC("cmp.pairs_compared");
-  MDC_METRIC_ADD("cmp.elements", static_cast<uint64_t>(cols));
-  switch (relation) {
-    case DominanceRelation::kEqual:
-      MDC_METRIC_INC("cmp.relation.equal");
-      break;
-    case DominanceRelation::kFirstDominates:
-      MDC_METRIC_INC("cmp.relation.first");
-      break;
-    case DominanceRelation::kSecondDominates:
-      MDC_METRIC_INC("cmp.relation.second");
-      break;
-    case DominanceRelation::kIncomparable:
-      MDC_METRIC_INC("cmp.relation.incomparable");
-      break;
-  }
 }
 
 const PairComparison& AllPairsResult::Pair(size_t i, size_t j) const {

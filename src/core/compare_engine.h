@@ -1,6 +1,6 @@
 // High-throughput pairwise comparison engine over packed property
-// matrices — the one comparison path of production code (reports, Pareto
-// fronts, permutation-model rankings).
+// matrices — the one comparison path of production code (the two-release
+// report, Pareto fronts, permutation-model rankings).
 //
 // The scalar layer (core/{dominance,quality_index,comparator}.*) computes
 // each Table-4 relation and each §5 index with its own pass over
@@ -9,7 +9,7 @@
 // paper-facing API and as the oracle the tests compare against. The
 // packed engine streams the two rows once per pair in cache-sized blocks
 // and derives every dominance relation and every index from a single
-// fused pass (ComputePairwiseStats).
+// fused pass (the count_spread kernel of core/compare_kernels.h).
 //
 // Bit-exactness contract: packed results are required to equal the scalar
 // results EXACTLY (double ==), not approximately. Integer quantities
@@ -20,13 +20,14 @@
 // that order. comparison_oracle_test.cc enforces the contract
 // differentially.
 //
-// Determinism contract (same as the PR 3 searches): AllPairsCompare
-// admits pairs serially in row-major (i, j) order — charging RunContext
-// steps so a budget expires at the same pair for every thread count —
-// evaluates admitted waves in parallel into per-pair slots, and commits
-// results and `cmp.*` metrics counters serially in admission order.
-// Results and DeterministicCountersText() are byte-identical for any
-// thread count, including under step-budget truncation.
+// Determinism contract (the lattice searches' wave protocol):
+// AllPairsCompare admits pairs serially in row-major (i, j) order —
+// charging RunContext steps so a budget expires at the same pair for
+// every thread count — evaluates admitted waves in parallel into
+// per-pair slots, and commits results and `cmp.*` metrics counters
+// serially in admission order. Results and DeterministicCountersText()
+// are byte-identical for any thread count, including under step-budget
+// truncation.
 
 #ifndef MDC_CORE_COMPARE_ENGINE_H_
 #define MDC_CORE_COMPARE_ENGINE_H_
@@ -62,40 +63,10 @@ DominanceRelation PackedCompareDominance(const double* d1, const double* d2,
 double PackedRankIndex(const double* d, const double* d_max, size_t n,
                        double p = 2.0);
 
-// Everything a pair comparison needs, from one fused blocked pass.
-struct PairwiseStats {
-  uint64_t ge12 = 0;  // |{i : d1[i] >= d2[i]}|  (P_cov numerator, 1 vs 2)
-  uint64_t ge21 = 0;
-  uint64_t gt12 = 0;  // |{i : d1[i] > d2[i]}|   (P_binary, 1 vs 2)
-  uint64_t gt21 = 0;
-  double spr12 = 0.0;  // Σ max(d1[i] - d2[i], 0)  (P_spr, 1 vs 2)
-  double spr21 = 0.0;
-  double min1 = 0.0;  // min over d1 / d2 (first-occurrence semantics).
-  double min2 = 0.0;
-};
-
-// Both rows must be finite (the PropertyMatrix contract): the weak counts
-// are derived from the strict ones by totality (d1 >= d2 ⟺ ¬(d2 > d1)),
-// which halves the count work per element. P_hv is scored by
-// AllPairsCompare only.
-PairwiseStats ComputePairwiseStats(const double* d1, const double* d2,
-                                   size_t n,
-                                   size_t block = kCompareBlockSize);
-
-// Derivations from the fused stats. Each mirrors its scalar counterpart.
-DominanceRelation RelationFromStats(const PairwiseStats& stats);
-double CoverageFromStats(const PairwiseStats& stats, size_t n,
-                         bool forward);  // forward: P_cov(d1, d2)
-
 // Scalar-outcome helper with the exact tie/epsilon logic of the
 // comparator battery (comparator.cc FromScalars).
 ComparatorOutcome OutcomeFromScalars(double first, double second,
                                      double epsilon = 0.0);
-
-// Increments the deterministic cmp.* counters for one committed pair
-// comparison. Must be called from a serial commit point only (the
-// counters' thread-count invariance depends on it).
-void CommitComparisonMetrics(DominanceRelation relation, size_t cols);
 
 // ---------------------------------------------------------------------------
 // All-pairs driver.

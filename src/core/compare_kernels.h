@@ -1,8 +1,8 @@
 // Dispatched block-level primitives of the packed comparison engine.
 //
-// ComputePairwiseStats and the raw dominance kernels
-// (core/compare_engine.h) are thin blocked drivers over the function
-// table below; scalar, AVX2, and AVX-512 variants live in
+// AllPairsCompare's blocked pair evaluation and the raw dominance kernels
+// (core/compare_engine.h) are thin drivers over the function table
+// below; scalar, AVX2, and AVX-512 variants live in
 // compare_kernels_{scalar,avx2,avx512}.cc and a call site picks one via
 // CompareKernelsFor(ActiveSimdLevel()).
 //

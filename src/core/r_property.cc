@@ -56,7 +56,7 @@ PropertyExtractor SensitiveRarityExtractor(
 }
 
 PropertyExtractor UtilityExtractor() {
-  return {"utility",
+  return {"per-tuple-utility",
           [](const Anonymization& anonymization,
              const EquivalencePartition& partition)
               -> StatusOr<PropertyVector> {

@@ -40,15 +40,16 @@ StatusOr<PropertySet> InduceProperties(
 //  - "linkage-privacy": 1 - 1/|EC| per tuple.
 //  - "sensitive-rarity": negated count of the tuple's sensitive value in
 //    its class (needs a resolvable sensitive column).
-//  - "utility": per-tuple LM utility for full-domain releases, class-
-//    spread utility otherwise.
+//  - "per-tuple-utility": per-tuple LM utility for full-domain releases,
+//    class-spread utility otherwise.
 PropertyExtractor ClassSizeExtractor();
 PropertyExtractor LinkagePrivacyExtractor();
 PropertyExtractor SensitiveRarityExtractor(
     std::optional<size_t> sensitive_column = std::nullopt);
 PropertyExtractor UtilityExtractor();
 
-// {class size, sensitive rarity, utility} — a 3-property anonymization.
+// {class size, sensitive rarity, per-tuple utility} — a 3-property
+// anonymization.
 std::vector<PropertyExtractor> StandardExtractors(
     std::optional<size_t> sensitive_column = std::nullopt);
 

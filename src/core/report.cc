@@ -1,76 +1,26 @@
 #include "core/report.h"
 
 #include "common/failpoint.h"
-#include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/text_table.h"
 #include "core/compare_engine.h"
-#include "core/properties.h"
+#include "core/r_property.h"
 #include "privacy/privacy_model.h"
-#include "utility/loss_metric.h"
 
 namespace mdc {
 namespace {
 
-struct NamedProperty {
-  std::string name;
-  PropertyVector first;
-  PropertyVector second;
-};
-
-const PropertyVector kNoIdeal;
-
-// Sweeps the equivalent of StandardComparators(ideal,
-// /*include_hypervolume=*/false) over one property: same comparator
-// names, same order, same outcomes, from one fused kernel pass.
-std::vector<ComparatorVerdict> PackedBattery(const NamedProperty& property,
-                                             const PropertyVector& ideal) {
-  const size_t n = property.first.size();
-  const double* d1 = property.first.values().data();
-  const double* d2 = property.second.values().data();
-  PairwiseStats stats = ComputePairwiseStats(d1, d2, n);
-
-  std::vector<ComparatorVerdict> verdicts;
-  auto add = [&](const char* comparator, ComparatorOutcome outcome) {
-    verdicts.push_back({property.name, comparator, outcome});
-  };
-  ComparatorOutcome dominance = ComparatorOutcome::kIncomparable;
-  switch (RelationFromStats(stats)) {
+ComparatorOutcome DominanceOutcome(DominanceRelation relation) {
+  switch (relation) {
     case DominanceRelation::kEqual:
-      dominance = ComparatorOutcome::kEquivalent;
-      break;
+      return ComparatorOutcome::kEquivalent;
     case DominanceRelation::kFirstDominates:
-      dominance = ComparatorOutcome::kFirstBetter;
-      break;
+      return ComparatorOutcome::kFirstBetter;
     case DominanceRelation::kSecondDominates:
-      dominance = ComparatorOutcome::kSecondBetter;
-      break;
+      return ComparatorOutcome::kSecondBetter;
     case DominanceRelation::kIncomparable:
-      dominance = ComparatorOutcome::kIncomparable;
       break;
   }
-  add("dominance", dominance);
-  add("min-better", OutcomeFromScalars(stats.min1, stats.min2));
-  if (!ideal.empty()) {
-    double rank1 = PackedRankIndex(d1, ideal.values().data(), n);
-    double rank2 = PackedRankIndex(d2, ideal.values().data(), n);
-    // Lower rank (closer to the ideal) is better: flip the scalar order.
-    add("rank-better", OutcomeFromScalars(-rank1, -rank2));
-  }
-  add("cov-better",
-      OutcomeFromScalars(CoverageFromStats(stats, n, /*forward=*/true),
-                         CoverageFromStats(stats, n, /*forward=*/false)));
-  add("spr-better", OutcomeFromScalars(stats.spr12, stats.spr21));
-  return verdicts;
-}
-
-StatusOr<PropertyVector> UtilityVector(
-    const Anonymization& anonymization,
-    const EquivalencePartition& partition) {
-  if (anonymization.scheme.has_value()) {
-    return LossMetric::PerTupleUtility(anonymization);
-  }
-  return ClassSpreadLoss::PerTupleUtility(anonymization, partition);
+  return ComparatorOutcome::kIncomparable;
 }
 
 }  // namespace
@@ -90,36 +40,27 @@ StatusOr<ComparisonReport> CompareAnonymizations(
     return Status::InvalidArgument("empty anonymizations");
   }
 
-  std::vector<NamedProperty> properties;
-  PropertyVector first_sizes = EquivalenceClassSizeVector(first_partition);
-  PropertyVector second_sizes = EquivalenceClassSizeVector(second_partition);
-  properties.push_back({"equivalence-class-size", first_sizes, second_sizes});
-
-  // Diversity property: count of the tuple's sensitive value in its class,
-  // negated so that higher is better (rarer value in class = harder to
-  // infer).
+  // The Def.-2 properties; class size comes first, so it is property 0.
+  std::vector<PropertyExtractor> extractors = {ClassSizeExtractor()};
   auto sensitive_column = ResolveSensitiveColumn(
       first.original->schema(), options.sensitive_column);
   if (sensitive_column.ok()) {
-    MDC_ASSIGN_OR_RETURN(
-        PropertyVector first_counts,
-        SensitiveCountVector(first, first_partition, *sensitive_column));
-    MDC_ASSIGN_OR_RETURN(
-        PropertyVector second_counts,
-        SensitiveCountVector(second, second_partition, *sensitive_column));
-    properties.push_back({"sensitive-rarity",
-                          first_counts.Negated("sensitive-rarity"),
-                          second_counts.Negated("sensitive-rarity")});
+    extractors.push_back(SensitiveRarityExtractor(*sensitive_column));
   } else if (options.sensitive_column.has_value()) {
     return sensitive_column.status();
   }
+  extractors.push_back(UtilityExtractor());
+  MDC_ASSIGN_OR_RETURN(PropertySet first_set,
+                       InduceProperties(first, first_partition, extractors));
+  MDC_ASSIGN_OR_RETURN(
+      PropertySet second_set,
+      InduceProperties(second, second_partition, extractors));
 
-  MDC_ASSIGN_OR_RETURN(PropertyVector first_utility,
-                       UtilityVector(first, first_partition));
-  MDC_ASSIGN_OR_RETURN(PropertyVector second_utility,
-                       UtilityVector(second, second_partition));
-  properties.push_back({"per-tuple-utility", std::move(first_utility),
-                        std::move(second_utility)});
+  // One step per property, all charged before the first comparison, so a
+  // budget never leaves a partly scored report.
+  for (size_t p = 0; p < extractors.size(); ++p) {
+    MDC_RETURN_IF_ERROR(RunContext::Check(run));
+  }
 
   ComparisonReport report;
   report.first_name =
@@ -130,58 +71,41 @@ StatusOr<ComparisonReport> CompareAnonymizations(
     report.first_name += "#1";
     report.second_name += "#2";
   }
-  report.first_bias = ComputeBias(first_sizes);
-  report.second_bias = ComputeBias(second_sizes);
+  report.first_bias = ComputeBias(first_set[0]);
+  report.second_bias = ComputeBias(second_set[0]);
 
-  // Rank ideal: the class-size vector of the fully-linked table (all N).
-  const PropertyVector d_max(
-      "ideal", std::vector<double>(first.row_count(),
-                                   static_cast<double>(first.row_count())));
-
-  // Wave protocol across properties: admit (budget charges in property
-  // order), evaluate batteries in parallel into per-property slots, commit
-  // verdicts, counters, and the net score serially in order.
-  for (size_t i = 0; i < properties.size(); ++i) {
-    MDC_RETURN_IF_ERROR(RunContext::Check(run));
-  }
-  MDC_METRIC_INC("cmp.runs");
-  std::vector<std::vector<ComparatorVerdict>> slots(properties.size());
-  ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
-  pool.ParallelFor(properties.size(), [&](size_t i) {
-    // The rank ideal only makes sense for the class-size property.
-    const PropertyVector& ideal =
-        properties[i].name == "equivalence-class-size" ? d_max : kNoIdeal;
-    slots[i] = PackedBattery(properties[i], ideal);
-  });
-  for (size_t i = 0; i < properties.size(); ++i) {
-    report.properties.push_back(properties[i].name);
-    DominanceRelation relation = DominanceRelation::kIncomparable;
-    for (const ComparatorVerdict& verdict : slots[i]) {
-      if (verdict.comparator == "dominance") {
-        switch (verdict.outcome) {
-          case ComparatorOutcome::kEquivalent:
-            relation = DominanceRelation::kEqual;
-            break;
-          case ComparatorOutcome::kFirstBetter:
-            relation = DominanceRelation::kFirstDominates;
-            break;
-          case ComparatorOutcome::kSecondBetter:
-            relation = DominanceRelation::kSecondDominates;
-            break;
-          default:
-            relation = DominanceRelation::kIncomparable;
-            break;
-        }
-      }
-      if (verdict.outcome == ComparatorOutcome::kFirstBetter) {
-        ++report.net_score;
-      }
-      if (verdict.outcome == ComparatorOutcome::kSecondBetter) {
-        --report.net_score;
-      }
-      report.verdicts.push_back(verdict);
+  for (size_t p = 0; p < extractors.size(); ++p) {
+    const std::string& property = extractors[p].name;
+    PropertySet pair_set;  // Moved in, not copied: FromSet packs it.
+    pair_set.push_back(std::move(first_set[p]));
+    pair_set.push_back(std::move(second_set[p]));
+    MDC_ASSIGN_OR_RETURN(PropertyMatrix matrix,
+                         PropertyMatrix::FromSet(pair_set));
+    AllPairsOptions pair_options;
+    if (p == 0) {
+      // Class size is ranked against the fully-linked table (all N).
+      pair_options.d_max = PropertyVector(
+          "ideal", std::vector<double>(matrix.cols(),
+                                       static_cast<double>(matrix.cols())));
     }
-    CommitComparisonMetrics(relation, properties[i].first.size());
+    MDC_ASSIGN_OR_RETURN(AllPairsResult ranked,
+                         AllPairsCompare(matrix, pair_options));
+    const PairComparison& pair = ranked.pairs[0];
+    auto add = [&](const char* comparator, ComparatorOutcome outcome) {
+      if (outcome == ComparatorOutcome::kFirstBetter) ++report.net_score;
+      if (outcome == ComparatorOutcome::kSecondBetter) --report.net_score;
+      report.verdicts.push_back({property, comparator, outcome});
+    };
+    // StandardComparators' order: dominance, min, rank, cov, spr.
+    add("dominance", DominanceOutcome(pair.relation));
+    add("min-better", OutcomeFromScalars(pair.min1, pair.min2));
+    if (p == 0) {
+      // Lower rank (closer to the ideal) is better: flip the scalar order.
+      add("rank-better", OutcomeFromScalars(-pair.rank1, -pair.rank2));
+    }
+    add("cov-better", OutcomeFromScalars(pair.cov12, pair.cov21));
+    add("spr-better", OutcomeFromScalars(pair.spr12, pair.spr21));
+    report.properties.push_back(property);
   }
   return report;
 }

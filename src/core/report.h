@@ -1,11 +1,12 @@
 // One-call comparison of two anonymizations under the paper's framework.
 //
-// CompareAnonymizations extracts the privacy and utility property vectors
-// of both releases, runs the comparator battery over each property
-// through the packed comparison engine, and returns a structured,
-// renderable report: the verdict of every comparator, the dominance
-// relation, and the per-release bias statistics. This is the "downstream
-// user" API of the library. The verdicts are those of
+// CompareAnonymizations induces the Definition-2 property anonymization of
+// both releases (core/r_property.h: class size, sensitive rarity, per-tuple
+// utility), ranks each property pair with one AllPairsCompare call of the
+// packed comparison engine (core/compare_engine.h), and returns a
+// structured, renderable report: the verdict of every comparator, the
+// dominance relation, and the per-release bias statistics. This is the
+// "downstream user" API of the library. The verdicts are those of
 // StandardComparators (core/comparator.h), which comparator_test checks
 // verdict for verdict.
 
@@ -33,9 +34,6 @@ struct ComparisonOptions {
   // Sensitive column for the diversity property; when unset the property
   // is skipped unless the schema has exactly one kSensitive attribute.
   std::optional<size_t> sensitive_column;
-  // Comparison threads, fanned out across properties; <= 0 means
-  // hardware.
-  int threads = 1;
 };
 
 struct ComparatorVerdict {
@@ -59,9 +57,10 @@ struct ComparisonReport {
 };
 
 // Compares two releases OF THE SAME ORIGINAL DATA SET (sizes must match).
-// A report is all-or-nothing: when `run`'s budget expires mid-battery the
-// budget Status is returned (a partially scored report would be
-// misleading).
+// `run` is charged one step on entry and one per property, all before the
+// first comparison. A report is all-or-nothing: when the budget expires
+// the budget Status is returned (a partially scored report would be
+// misleading). Property vectors must be finite (PropertyMatrix::FromSet).
 StatusOr<ComparisonReport> CompareAnonymizations(
     const Anonymization& first, const EquivalencePartition& first_partition,
     const Anonymization& second,

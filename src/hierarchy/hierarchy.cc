@@ -58,11 +58,6 @@ Status VerifyNesting(const ValueHierarchy& hierarchy,
             "value '" + v.ToString() + "' fails to generalize at level " +
             std::to_string(level) + ": " + label.status().ToString());
       }
-      if (!hierarchy.Covers(*label, v)) {
-        return Status::FailedPrecondition(
-            "label '" + *label + "' at level " + std::to_string(level) +
-            " does not cover its own value '" + v.ToString() + "'");
-      }
       labels[level].push_back(*label);
     }
   }

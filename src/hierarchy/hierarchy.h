@@ -9,7 +9,7 @@
 // the same label at level l, they map to the same label at every level
 // above l. Full-domain algorithms (Datafly, Samarati, the optimal lattice
 // search) rely on this; VerifyNesting() checks it for a concrete value set
-// and is used by tests and by algorithm preflight checks.
+// (tests call it).
 //
 // Which values a label stands for follows from Generalize alone: a label
 // covers a value when it lies on the value's generalization chain (see

@@ -13,6 +13,7 @@
 #ifndef MDC_PRIVACY_PERSONALIZED_H_
 #define MDC_PRIVACY_PERSONALIZED_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -49,7 +50,8 @@ class PersonalizedPrivacy final : public PrivacyModel {
 
  private:
   std::shared_ptr<const TaxonomyHierarchy> taxonomy_;
-  std::vector<std::string> guarding_nodes_;
+  std::vector<std::string> guards_;     // Distinct guarding nodes.
+  std::vector<uint32_t> guard_of_row_;  // Row -> index into guards_.
   std::vector<double> thresholds_;
   std::optional<size_t> sensitive_column_;
 };

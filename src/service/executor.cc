@@ -474,7 +474,6 @@ Status Execute(const ServiceCore::ExecRequest& request, int threads,
   std::vector<const AlgorithmEntry*> entries;
   bool permutation = false;  // Compare under the permutation paradigm.
   ComparisonOptions comparison;  // The two-release compare.
-  comparison.threads = threads;
   if (kind == "perturb") {
     MDC_ASSIGN_OR_RETURN(job.perturb, PerturbKnobs(params, job.k));
     MDC_ASSIGN_OR_RETURN(

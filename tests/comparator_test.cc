@@ -4,16 +4,25 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "anonymize/datafly.h"
 #include "anonymize/equivalence.h"
+#include "anonymize/mondrian.h"
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "common/run_context.h"
 #include "core/dominance.h"
 #include "core/properties.h"
 #include "core/quality_index.h"
 #include "core/report.h"
+#include "datagen/census_generator.h"
 #include "paper/paper_data.h"
 #include "utility/loss_metric.h"
 
@@ -246,25 +255,52 @@ TEST(ReportTest, SizeMismatchRejected) {
   EXPECT_FALSE(report.ok());
 }
 
+// A non-finite property entry fails the report (PropertyMatrix::FromSet)
+// instead of feeding NaN into the verdicts: a real QI spanning [0, inf]
+// gives one class a NaN class-spread utility.
+TEST(ReportTest, NonFinitePropertyRejected) {
+  auto schema = Schema::Create(
+      {{"x", AttributeType::kReal, AttributeRole::kQuasiIdentifier}});
+  ASSERT_TRUE(schema.ok());
+  auto data = std::make_shared<Dataset>(*schema);
+  ASSERT_TRUE(data->AppendRow({Value(0.0)}).ok());
+  ASSERT_TRUE(
+      data->AppendRow({Value(std::numeric_limits<double>::infinity())}).ok());
+  Anonymization release{data, *data, {0}, {false, false}, std::nullopt, "x"};
+  EquivalencePartition partition =
+      EquivalencePartition::FromColumns(release.release, {});
+  auto report =
+      CompareAnonymizations(release, partition, release, partition);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("non-finite"), std::string::npos)
+      << report.status().ToString();
+}
+
 // The scalar oracle for one report: the StandardComparators battery
-// (no hypervolume) over the three property vectors CompareAnonymizations
-// scores, rebuilt from the public extractors, with the class-size
-// property ranked against the fully-linked ideal.
+// (no hypervolume) over the property vectors CompareAnonymizations scores,
+// rebuilt from the property functions, with the class-size property
+// ranked against the fully-linked ideal. Sensitive rarity is scored iff
+// `sensitive_column` is set.
 struct ExpectedReport {
   std::vector<std::string> properties;
   std::vector<ComparatorVerdict> verdicts;
   int net_score = 0;
 };
 
-ExpectedReport ScalarReport(const Fixture& first, const Fixture& second) {
-  auto rarity = [](const Fixture& fixture) {
-    auto counts = SensitiveCountVector(
-        fixture.anonymization, fixture.partition, paper::kMaritalColumn);
+ExpectedReport ScalarReport(const Fixture& first, const Fixture& second,
+                            std::optional<size_t> sensitive_column) {
+  auto rarity = [&](const Fixture& fixture) {
+    auto counts = SensitiveCountVector(fixture.anonymization,
+                                       fixture.partition, sensitive_column);
     MDC_CHECK(counts.ok());
     return counts->Negated("sensitive-rarity");
   };
   auto utility = [](const Fixture& fixture) {
-    auto values = LossMetric::PerTupleUtility(fixture.anonymization);
+    auto values = fixture.anonymization.scheme.has_value()
+                      ? LossMetric::PerTupleUtility(fixture.anonymization)
+                      : ClassSpreadLoss::PerTupleUtility(
+                            fixture.anonymization, fixture.partition);
     MDC_CHECK(values.ok());
     return std::move(values).value();
   };
@@ -273,12 +309,14 @@ ExpectedReport ScalarReport(const Fixture& first, const Fixture& second) {
     PropertyVector first;
     PropertyVector second;
   };
-  const std::vector<Property> properties = {
+  std::vector<Property> properties = {
       {"equivalence-class-size", EquivalenceClassSizeVector(first.partition),
-       EquivalenceClassSizeVector(second.partition)},
-      {"sensitive-rarity", rarity(first), rarity(second)},
-      {"per-tuple-utility", utility(first), utility(second)},
-  };
+       EquivalenceClassSizeVector(second.partition)}};
+  if (sensitive_column.has_value()) {
+    properties.push_back({"sensitive-rarity", rarity(first), rarity(second)});
+  }
+  properties.push_back(
+      {"per-tuple-utility", utility(first), utility(second)});
   const size_t n = first.anonymization.row_count();
   const PropertyVector ideal(
       "ideal", std::vector<double>(n, static_cast<double>(n)));
@@ -300,9 +338,68 @@ ExpectedReport ScalarReport(const Fixture& first, const Fixture& second) {
   return expected;
 }
 
+// Runs the report with `requested` as the sensitive option and checks it
+// against the scalar oracle scoring `resolved`.
+void ExpectReportMatchesScalar(const Fixture& first, const Fixture& second,
+                               std::optional<size_t> requested,
+                               std::optional<size_t> resolved) {
+  SCOPED_TRACE(first.anonymization.algorithm + " vs " +
+               second.anonymization.algorithm + ", " +
+               std::to_string(first.anonymization.row_count()) + " rows");
+  const ExpectedReport expected = ScalarReport(first, second, resolved);
+  ComparisonOptions options;
+  options.sensitive_column = requested;
+  auto packed = CompareAnonymizations(first.anonymization, first.partition,
+                                      second.anonymization, second.partition,
+                                      options);
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  EXPECT_EQ(packed->properties, expected.properties);
+  EXPECT_EQ(packed->net_score, expected.net_score);
+  ASSERT_EQ(packed->verdicts.size(), expected.verdicts.size());
+  for (size_t i = 0; i < packed->verdicts.size(); ++i) {
+    EXPECT_EQ(packed->verdicts[i].property, expected.verdicts[i].property);
+    EXPECT_EQ(packed->verdicts[i].comparator, expected.verdicts[i].comparator);
+    EXPECT_EQ(packed->verdicts[i].outcome, expected.verdicts[i].outcome)
+        << packed->verdicts[i].property << " / "
+        << packed->verdicts[i].comparator;
+  }
+}
+
+// Two releases of seeded census microdata: Datafly (k = 5, 2%
+// suppression) and Mondrian (k = 5).
+struct CensusReleases {
+  Fixture datafly;
+  Fixture mondrian;
+  size_t sensitive_column = 0;
+};
+
+CensusReleases MakeCensusReleases(size_t rows) {
+  CensusConfig config;
+  config.rows = rows;
+  config.seed = 1;
+  auto census = GenerateCensus(config);
+  MDC_CHECK(census.ok());
+  DataflyConfig datafly_config;
+  datafly_config.k = 5;
+  datafly_config.suppression.max_fraction = 0.02;
+  auto datafly =
+      DataflyAnonymize(census->data, census->hierarchies, datafly_config);
+  MDC_CHECK(datafly.ok());
+  auto mondrian = MondrianAnonymize(census->data, MondrianConfig{5});
+  MDC_CHECK(mondrian.ok());
+  return CensusReleases{
+      Fixture{std::move(datafly->evaluation.anonymization),
+              std::move(datafly->evaluation.partition)},
+      Fixture{std::move(mondrian->anonymization),
+              std::move(mondrian->partition)},
+      census->sensitive_column};
+}
+
 // Differential contract at the report level: the packed report matches
 // the scalar comparator battery verdict for verdict, with the same net
-// score, and renders byte-identically at every thread count.
+// score — on Table 1's releases, with and without a sensitive column, and
+// on census releases whose vectors span several kernel blocks and a
+// remainder (2,500 and 5,000 rows against 1024-element blocks).
 TEST(ReportTest, PackedReportMatchesScalarComparators) {
   const Fixture t3a = Make(&paper::MakeT3a);
   const Fixture t3b = Make(&paper::MakeT3b);
@@ -310,37 +407,70 @@ TEST(ReportTest, PackedReportMatchesScalarComparators) {
   const std::pair<const Fixture*, const Fixture*> pairs[] = {
       {&t3a, &t3b}, {&t3b, &t3a}, {&t4, &t3b}, {&t3a, &t4}};
   for (const auto& [first, second] : pairs) {
-    SCOPED_TRACE(first->anonymization.algorithm + " vs " +
-                 second->anonymization.algorithm);
-    const ExpectedReport expected = ScalarReport(*first, *second);
-    std::string reference_text;
-    for (int threads : {1, 2, 4, 0}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      ComparisonOptions options;
-      options.sensitive_column = paper::kMaritalColumn;
-      options.threads = threads;
-      auto packed = CompareAnonymizations(
-          first->anonymization, first->partition, second->anonymization,
-          second->partition, options);
-      ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-      EXPECT_EQ(packed->properties, expected.properties);
-      EXPECT_EQ(packed->net_score, expected.net_score);
-      ASSERT_EQ(packed->verdicts.size(), expected.verdicts.size());
-      for (size_t i = 0; i < packed->verdicts.size(); ++i) {
-        EXPECT_EQ(packed->verdicts[i].property, expected.verdicts[i].property);
-        EXPECT_EQ(packed->verdicts[i].comparator,
-                  expected.verdicts[i].comparator);
-        EXPECT_EQ(packed->verdicts[i].outcome, expected.verdicts[i].outcome)
-            << packed->verdicts[i].property << " / "
-            << packed->verdicts[i].comparator;
-      }
-      if (threads == 1) {
-        reference_text = packed->ToText();
-      } else {
-        EXPECT_EQ(packed->ToText(), reference_text);
-      }
-    }
+    ExpectReportMatchesScalar(*first, *second, paper::kMaritalColumn,
+                              paper::kMaritalColumn);
+    // The paper schema has no kSensitive attribute: with no column asked
+    // for, the report scores class size and utility only.
+    ExpectReportMatchesScalar(*first, *second, std::nullopt, std::nullopt);
   }
+  for (size_t rows : {2500, 5000}) {
+    const CensusReleases census = MakeCensusReleases(rows);
+    // The census schema's one kSensitive attribute resolves by default.
+    ExpectReportMatchesScalar(census.datafly, census.mondrian, std::nullopt,
+                              census.sensitive_column);
+    ExpectReportMatchesScalar(census.mondrian, census.datafly, std::nullopt,
+                              census.sensitive_column);
+  }
+}
+
+// One report's cmp.* delta: one comparison run and one pair per property,
+// N elements per pair, and the class-size property ranks both rows
+// against the ideal.
+TEST(ReportTest, CountsOneComparisonPerProperty) {
+  const Fixture t3a = Make(&paper::MakeT3a);
+  const Fixture t3b = Make(&paper::MakeT3b);
+  ComparisonOptions options;
+  options.sensitive_column = paper::kMaritalColumn;
+  std::map<std::string, uint64_t> before = metrics::Snapshot().counters;
+  auto report = CompareAnonymizations(t3a.anonymization, t3a.partition,
+                                      t3b.anonymization, t3b.partition,
+                                      options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  std::map<std::string, uint64_t> after = metrics::Snapshot().counters;
+  auto delta = [&](const std::string& name) {
+    return after[name] - before[name];
+  };
+  const uint64_t properties = report->properties.size();
+  ASSERT_EQ(properties, 3u);
+  EXPECT_EQ(delta("cmp.runs"), properties);
+  EXPECT_EQ(delta("cmp.pairs_compared"), properties);
+  EXPECT_EQ(delta("cmp.rank_rows"), 2u);
+  EXPECT_EQ(delta("cmp.elements"),
+            properties * t3a.anonymization.row_count());
+}
+
+// A three-property report charges one step on entry and one per property,
+// all before its first comparison: four steps finish it, three stop it.
+TEST(ReportTest, ThreePropertyReportNeedsFourSteps) {
+  const Fixture t3a = Make(&paper::MakeT3a);
+  const Fixture t3b = Make(&paper::MakeT3b);
+  ComparisonOptions options;
+  options.sensitive_column = paper::kMaritalColumn;
+  RunContext enough;
+  enough.set_max_steps(4);
+  auto report = CompareAnonymizations(t3a.anonymization, t3a.partition,
+                                      t3b.anonymization, t3b.partition,
+                                      options, &enough);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->properties.size(), 3u);
+  EXPECT_EQ(enough.steps(), 4u);
+
+  RunContext short_budget;
+  short_budget.set_max_steps(3);
+  auto cut = CompareAnonymizations(t3a.anonymization, t3a.partition,
+                                   t3b.anonymization, t3b.partition, options,
+                                   &short_budget);
+  EXPECT_EQ(cut.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ReportTest, BiasFieldsPopulated) {
