@@ -38,7 +38,8 @@ PropertyMatrix MakeMatrix(size_t rows, size_t cols, uint64_t seed) {
                       ? static_cast<double>(rng.NextInt(1, 32))
                       : rng.NextDouble() * 100.0;
     }
-    set.emplace_back("p" + std::to_string(r), std::move(values));
+    set.emplace_back(std::string("p").append(std::to_string(r)),
+                     std::move(values));
   }
   auto matrix = PropertyMatrix::FromSet(set);
   MDC_CHECK(matrix.ok());

@@ -39,7 +39,7 @@ std::shared_ptr<const Dataset> MakeData(size_t rows, size_t cols,
   std::vector<AttributeDef> attributes;
   for (size_t c = 0; c < cols; ++c) {
     AttributeDef attr;
-    attr.name = "c" + std::to_string(c);
+    attr.name = std::string("c").append(std::to_string(c));
     attr.type = AttributeType::kReal;
     attr.role = AttributeRole::kQuasiIdentifier;
     attributes.push_back(attr);

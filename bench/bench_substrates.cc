@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "anonymize/equivalence.h"
 #include "anonymize/generalizer.h"
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "datagen/census_generator.h"
 #include "privacy/t_closeness.h"
+#include "table/encoded_view.h"
 #include "utility/loss_metric.h"
 
 namespace mdc {
@@ -85,6 +87,64 @@ void BM_DatasetToCsv(benchmark::State& state) {
                           static_cast<int64_t>(census.text.size()));
 }
 BENCHMARK(BM_DatasetToCsv)->Arg(10000)->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
+
+// One encoded position against a std::sort reference: `cells` sorted and
+// made unique are the view's distinct values (read through `value_of`),
+// and each row's code indexes its cell among them.
+template <typename T, typename ValueOf>
+void CheckCodes(const std::vector<T>& cells, const std::vector<Value>& distinct,
+                const AlignedVector<uint32_t>& codes, ValueOf value_of) {
+  std::vector<T> sorted = cells;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  MDC_CHECK(distinct.size() == sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    MDC_CHECK(value_of(distinct[i]) == sorted[i]);
+  }
+  for (size_t row = 0; row < cells.size(); ++row) {
+    MDC_CHECK(sorted[codes[row]] == cells[row]);
+  }
+}
+
+// Dictionary encoding of the census's five QI columns (EncodedView::Build):
+// a string column orders the dictionary entries its rows use with
+// StringOrder, a numeric one hashes first and sorts its distinct values.
+// Before timing, every position's codes are MDC_CHECKed against a
+// std::sort reference (CheckCodes).
+void BM_EncodedViewBuild(benchmark::State& state) {
+  CensusConfig config;
+  config.rows = static_cast<size_t>(state.range(0));
+  config.seed = 7;
+  auto census = GenerateCensus(config);
+  MDC_CHECK(census.ok());
+  const Dataset& data = *census->data;
+  const std::vector<size_t> columns = data.schema().QuasiIdentifierIndices();
+  auto view = EncodedView::Build(data, columns);
+  MDC_CHECK(view.ok());
+  for (size_t pos = 0; pos < columns.size(); ++pos) {
+    const size_t column = columns[pos];
+    if (data.schema().attribute(column).type != AttributeType::kString) {
+      CheckCodes(data.Numbers(column), view->distinct_values(pos),
+                 view->codes(pos),
+                 [](const Value& value) { return value.AsNumber(); });
+      continue;
+    }
+    std::vector<std::string> cells;
+    for (uint32_t code : data.codes(column)) {
+      cells.push_back(data.dictionary(column)[code]);
+    }
+    CheckCodes(cells, view->distinct_values(pos), view->codes(pos),
+               [](const Value& value) { return value.AsString(); });
+  }
+  for (auto _ : state) {
+    auto encoded = EncodedView::Build(data, columns);
+    MDC_CHECK(encoded.ok());
+    benchmark::DoNotOptimize(encoded->CodeBytes());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EncodedViewBuild)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kMillisecond);
 
 // ToCsv's bytes for a dataset of more than one column, with every real

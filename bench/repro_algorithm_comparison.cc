@@ -139,7 +139,7 @@ int ExportReleases(const CensusData& census, const std::string& dir) {
   for (int k : {2, 5, 10}) {
     for (const char* name : kAlgorithms) {
       service::JobSpec job;
-      job.id = "k" + std::to_string(k) + "_" + name;
+      job.id = std::string("k").append(std::to_string(k)) + "_" + name;
       job.params["algorithm"] = name;
       job.params["k"] = std::to_string(k);
       jobs.push_back(std::move(job));

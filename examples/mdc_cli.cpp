@@ -200,7 +200,7 @@ StatusOr<CliArgs> ParseArgs(int argc, char** argv) {
     }
     key = key.substr(2);
     if (std::ranges::find(kBoolFlags, key) != std::end(kBoolFlags)) {
-      args.flags[key] = "1";
+      args.flags[key] = std::string("1");
       continue;
     }
     if (std::ranges::find(kJobFlags, key) == std::end(kJobFlags) &&

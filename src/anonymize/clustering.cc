@@ -99,7 +99,9 @@ std::string ClusterLabel(const Dataset& data,
     hi = std::max(hi, numbers[row]);
   }
   if (lo == hi) return FormatCompact(lo);
-  return "[" + FormatCompact(lo) + "-" + FormatCompact(hi) + "]";
+  std::string label = "[";
+  label.append(FormatCompact(lo)).append("-").append(FormatCompact(hi));
+  return label.append("]");
 }
 
 }  // namespace

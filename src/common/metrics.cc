@@ -259,7 +259,7 @@ std::string MetricsSnapshot::ToCompactJson() const {
     if (!first) out += ",";
     first = false;
     AppendJsonString(out, name);
-    out += ":" + std::to_string(value);
+    out.append(":").append(std::to_string(value));
   }
   out += "},\"gauges\":{";
   first = true;
@@ -267,7 +267,7 @@ std::string MetricsSnapshot::ToCompactJson() const {
     if (!first) out += ",";
     first = false;
     AppendJsonString(out, name);
-    out += ":" + std::to_string(value);
+    out.append(":").append(std::to_string(value));
   }
   out += "},\"histograms\":{";
   first = true;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/radix_order.h"
 #include "common/strings.h"
 #include "common/text_table.h"
 #include "common/waves.h"
@@ -45,16 +45,20 @@ std::vector<uint32_t> RanksOf(const std::vector<uint32_t>& order) {
   return ranks;
 }
 
-// Pure per-attribute model build — runs inside the wave, one slot per
-// attribute, no shared state.
+// Per-attribute model build — runs inside the wave, one slot per
+// attribute. `row_of_rank` is the original's order (row_of_rank_X): the
+// attribute's OriginalOrders slot, ranked here when still empty, or a
+// local when no orders are shared.
 PermutationAttributeModel BuildAttributeModel(
     const std::vector<double>& original,
-    const std::vector<double>& anonymized, const std::string& name) {
+    const std::vector<double>& anonymized, const std::string& name,
+    std::vector<uint32_t>& row_of_rank) {
   PermutationAttributeModel model;
   model.name = name;
-  // The original order is row_of_rank_X; sigma matches release ranks
-  // against original ranks (the rank-linkage attack).
-  const std::vector<uint32_t> row_of_rank = StableOrder(original);
+  // sigma matches release ranks against original ranks (the rank-linkage
+  // attack).
+  if (row_of_rank.empty()) row_of_rank = StableOrder(original);
+  MDC_CHECK(row_of_rank.size() == original.size());
   model.original_ranks = RanksOf(row_of_rank);
   model.anonymized_ranks = RankVector(anonymized);
   const size_t n = original.size();
@@ -76,44 +80,8 @@ PermutationAttributeModel BuildAttributeModel(
 }  // namespace
 
 std::vector<uint32_t> StableOrder(std::span<const double> values) {
-  // 11-bit digits: six counting passes cover the 64-bit key. The digit
-  // histograms of every pass are counted in one sweep up front (permuting
-  // the rows leaves them unchanged); a pass whose digit is the same on
-  // every row would only copy, so it is skipped. Only row indices move:
-  // each pass re-derives its digits from the values, so the working set
-  // beyond the result is one more index array.
-  constexpr int kDigitBits = 11;
-  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
-  constexpr size_t kBuckets = size_t{1} << kDigitBits;
-  const auto digit = [](uint64_t key, int pass) {
-    return static_cast<size_t>((key >> (pass * kDigitBits)) & (kBuckets - 1));
-  };
-  const size_t n = values.size();
-  MDC_CHECK(n <= std::numeric_limits<uint32_t>::max());
-  std::vector<uint32_t> order(n), next_order(n);
-  std::vector<uint32_t> counts(kPasses * kBuckets, 0);
-  for (size_t i = 0; i < n; ++i) {
-    order[i] = static_cast<uint32_t>(i);
-    const uint64_t key = OrderKey(values[i]);
-    for (int p = 0; p < kPasses; ++p) ++counts[p * kBuckets + digit(key, p)];
-  }
-  for (int p = 0; p < kPasses && n > 0; ++p) {
-    uint32_t* offset = &counts[p * kBuckets];
-    if (offset[digit(OrderKey(values[0]), p)] == n) continue;
-    uint32_t sum = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      const uint32_t count = offset[b];
-      offset[b] = sum;
-      sum += count;
-    }
-    // Rows scatter in their current order, so equal digits keep it: each
-    // pass is stable, and rows with equal keys stay in row order.
-    for (const uint32_t row : order) {
-      next_order[offset[digit(OrderKey(values[row]), p)]++] = row;
-    }
-    order.swap(next_order);
-  }
-  return order;
+  return RadixOrder(values.size(),
+                    [values](uint32_t row) { return OrderKey(values[row]); });
 }
 
 std::vector<uint32_t> RankVector(const std::vector<double>& values) {
@@ -129,14 +97,17 @@ StatusOr<std::vector<uint32_t>> ImplicitPermutation(
   }
   MDC_RETURN_IF_ERROR(ValidateFinite(original, "original column"));
   MDC_RETURN_IF_ERROR(ValidateFinite(anonymized, "anonymized column"));
-  return BuildAttributeModel(original, anonymized, "").permutation;
+  std::vector<uint32_t> row_of_rank;
+  return BuildAttributeModel(original, anonymized, "", row_of_rank)
+      .permutation;
 }
 
 StatusOr<PermutationModel> BuildPermutationModel(
     const std::vector<std::vector<double>>& original_columns,
     const std::vector<std::vector<double>>& anonymized_columns,
     const std::vector<std::string>& names,
-    const PermutationMetricsOptions& options, RunContext* run) {
+    const PermutationMetricsOptions& options, RunContext* run,
+    OriginalOrders* originals) {
   if (original_columns.empty() ||
       original_columns.size() != anonymized_columns.size() ||
       original_columns.size() != names.size()) {
@@ -164,6 +135,12 @@ StatusOr<PermutationModel> BuildPermutationModel(
   model.rows = rows;
   const size_t attribute_count = original_columns.size();
   std::vector<double> privacy_sum(rows, 0.0);
+  OriginalOrders local;
+  if (originals == nullptr) originals = &local;
+  if (originals->row_of_rank.empty()) {
+    originals->row_of_rank.resize(attribute_count);
+  }
+  MDC_CHECK(originals->row_of_rank.size() == attribute_count);
 
   // Admission charges `rows` steps per attribute, in attribute order, so
   // a budget expires at the same attribute for every thread count. Commits
@@ -179,7 +156,7 @@ StatusOr<PermutationModel> BuildPermutationModel(
       },
       [&](size_t a) {
         return BuildAttributeModel(original_columns[a], anonymized_columns[a],
-                                   names[a]);
+                                   names[a], originals->row_of_rank[a]);
       },
       [&](size_t, PermutationAttributeModel& attribute) -> Status {
         for (size_t i = 0; i < rows; ++i) {
@@ -248,7 +225,8 @@ StatusOr<std::vector<double>> NumericReleaseColumn(
 StatusOr<PermutationModel> PermutationModelFor(
     const Anonymization& anonymization,
     const EquivalencePartition* partition,
-    const PermutationMetricsOptions& options, RunContext* run) {
+    const PermutationMetricsOptions& options, RunContext* run,
+    OriginalOrders* originals) {
   const Schema& schema = anonymization.original->schema();
   std::vector<std::vector<double>> original_columns;
   std::vector<std::vector<double>> anonymized_columns;
@@ -268,7 +246,7 @@ StatusOr<PermutationModel> PermutationModelFor(
         "column");
   }
   return BuildPermutationModel(original_columns, anonymized_columns, names,
-                               options, run);
+                               options, run, originals);
 }
 
 std::string PermutationModelSummary(const PermutationModel& model) {

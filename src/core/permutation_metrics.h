@@ -47,8 +47,8 @@ namespace mdc {
 // order: exactly the permutation std::stable_sort gives with `values[a] <
 // values[b]` as the comparator, computed in linear passes. Each value is
 // mapped to a 64-bit key whose unsigned order is the order of `<` (−0.0
-// folded into +0.0 first, since `<` treats them as equal), and an LSD
-// radix sort over the keys, stable in every pass, keeps equal keys in row
+// folded into +0.0 first, since `<` treats them as equal), and RadixOrder
+// (common/radix_order.h), stable in every pass, keeps equal keys in row
 // order. Precondition: every value is finite (the callers validate; a NaN
 // would get a position `<` cannot give it) and N < 2^32 (MDC_CHECKed).
 // Rank swapping and microaggregation order their rows through it too.
@@ -98,16 +98,29 @@ struct PermutationModel {
   PropertyVector utility;
 };
 
+// The original half of the models of several releases of one dataset:
+// row_of_rank[a] is StableOrder of original column a, empty until a model
+// build needs it. A build ranks the columns whose slot is empty and reads
+// the others, so the models of every release of one dataset rank each
+// original column once, and models that are never built rank nothing.
+// Share one only between builds over the same original columns (the
+// slot count and sizes are MDC_CHECKed).
+struct OriginalOrders {
+  std::vector<std::vector<uint32_t>> row_of_rank;
+};
+
 // Builds the model from aligned numeric columns (original_columns[a] and
 // anonymized_columns[a] are the same attribute before/after). Rejects
 // empty input, size mismatches, and non-finite values with a clean
 // Status. Budget expiry returns the budget Status (a partial model would
-// mislabel the missing attributes as zero-displacement).
+// mislabel the missing attributes as zero-displacement). With
+// `originals`, the original columns' orders come from and go to it.
 StatusOr<PermutationModel> BuildPermutationModel(
     const std::vector<std::vector<double>>& original_columns,
     const std::vector<std::vector<double>>& anonymized_columns,
     const std::vector<std::string>& names,
-    const PermutationMetricsOptions& options = {}, RunContext* run = nullptr);
+    const PermutationMetricsOptions& options = {}, RunContext* run = nullptr,
+    OriginalOrders* originals = nullptr);
 
 // Reverse-mapped numeric view of one released column (the permutation
 // paradigm's bridge across backend families):
@@ -127,7 +140,8 @@ StatusOr<std::vector<double>> NumericReleaseColumn(
 StatusOr<PermutationModel> PermutationModelFor(
     const Anonymization& anonymization,
     const EquivalencePartition* partition,
-    const PermutationMetricsOptions& options = {}, RunContext* run = nullptr);
+    const PermutationMetricsOptions& options = {}, RunContext* run = nullptr,
+    OriginalOrders* originals = nullptr);
 
 // Aligned text table of per-attribute footrule / mean normalized
 // displacement plus the per-tuple vector summary — the CLI and the repro

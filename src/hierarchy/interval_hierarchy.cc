@@ -7,7 +7,9 @@
 namespace mdc {
 
 std::string Interval::ToLabel() const {
-  return "(" + FormatCompact(lo) + "," + FormatCompact(hi) + "]";
+  std::string label = "(";
+  label.append(FormatCompact(lo)).append(",").append(FormatCompact(hi));
+  return label.append("]");
 }
 
 StatusOr<IntervalHierarchy> IntervalHierarchy::Create(

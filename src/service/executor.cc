@@ -316,13 +316,14 @@ Status Preflight(const ParamMap& params,
 // Permutation-paradigm comparison.
 
 StatusOr<PermutationModel> ModelOf(const Release& release,
-                                   const JobContext& job) {
+                                   const JobContext& job,
+                                   OriginalOrders* originals = nullptr) {
   PermutationMetricsOptions options;
   options.threads = job.threads;
   return PermutationModelFor(
       release.anonymization,
       release.partition.has_value() ? &*release.partition : nullptr, options,
-      job.run);
+      job.run, originals);
 }
 
 // One release reduced to its permutation model, its property vectors
@@ -335,7 +336,8 @@ struct ModeledRelease {
 };
 
 StatusOr<ModeledRelease> ModelRelease(const AlgorithmEntry& entry,
-                                      const JobContext& job) {
+                                      const JobContext& job,
+                                      OriginalOrders& originals) {
   ModeledRelease out;
   out.name = entry.name;
   // Derived-model store: a hit returns the resident property vectors and
@@ -356,7 +358,7 @@ StatusOr<ModeledRelease> ModelRelease(const AlgorithmEntry& entry,
   }
   MDC_ASSIGN_OR_RETURN(Release release, entry.run(job, nullptr));
   out.truncated = release.run_stats.truncated;
-  MDC_ASSIGN_OR_RETURN(out.model, ModelOf(release, job));
+  MDC_ASSIGN_OR_RETURN(out.model, ModelOf(release, job, &originals));
   out.model.privacy = PropertyVector(out.name + "-privacy",
                                      out.model.privacy.values());
   out.model.utility = PropertyVector(out.name + "-utility",
@@ -383,9 +385,13 @@ StatusOr<ModeledRelease> ModelRelease(const AlgorithmEntry& entry,
 StatusOr<std::string> PermutationReport(
     const std::vector<const AlgorithmEntry*>& entries, const JobContext& job,
     bool* truncated) {
+  // Every release is of job.data, so its models share the original's
+  // orders: the first model built ranks them, a model-cache hit none.
+  OriginalOrders originals;
   std::vector<ModeledRelease> releases;
   for (const AlgorithmEntry* entry : entries) {
-    MDC_ASSIGN_OR_RETURN(ModeledRelease modeled, ModelRelease(*entry, job));
+    MDC_ASSIGN_OR_RETURN(ModeledRelease modeled,
+                         ModelRelease(*entry, job, originals));
     if (modeled.truncated) *truncated = true;
     releases.push_back(std::move(modeled));
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
+#include <cstring>
 #include <limits>
 
 #include "common/csv.h"
@@ -11,6 +11,45 @@
 #include "common/text_table.h"
 
 namespace mdc {
+namespace {
+
+// The interner's hash, read a word at a time: each 8-byte word is folded
+// in with a multiply, a 1–7 byte tail by two overlapping 4-byte reads or
+// three single bytes (either covers every byte of the tail, so equal-length
+// texts that differ anywhere load different words), and the length seeds
+// the state. Short keys such as zip codes cost two multiplies.
+inline uint64_t HashText(std::string_view text) {
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15;
+  const char* p = text.data();
+  size_t left = text.size();
+  uint64_t h = left * kMul;
+  const auto fold = [&h](uint64_t word) {
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  };
+  for (; left >= 8; p += 8, left -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    fold(word);
+  }
+  if (left >= 4) {
+    uint32_t head;
+    uint32_t tail;
+    std::memcpy(&head, p, 4);
+    std::memcpy(&tail, p + left - 4, 4);
+    fold(uint64_t{head} << 32 | tail);
+  } else if (left > 0) {
+    const auto byte = [p](size_t i) {
+      return uint64_t{static_cast<unsigned char>(p[i])};
+    };
+    fold(byte(0) << 16 | byte(left / 2) << 8 | byte(left - 1));
+  }
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
 
 uint32_t StringInterner::Intern(std::string_view text,
                                 std::vector<std::string>& dictionary) {
@@ -18,7 +57,7 @@ uint32_t StringInterner::Intern(std::string_view text,
     Rehash(std::max<size_t>(16, 2 * slots_.size()), dictionary);
   }
   const size_t mask = slots_.size() - 1;
-  for (size_t i = std::hash<std::string_view>()(text) & mask;;
+  for (size_t i = HashText(text) & mask;;
        i = (i + 1) & mask) {
     const uint32_t slot = slots_[i];
     if (slot == 0) {
@@ -39,7 +78,7 @@ bool StringInterner::Index(const std::vector<std::string>& dictionary) {
   size_ = 0;
   const size_t mask = capacity - 1;
   for (const std::string& entry : dictionary) {
-    size_t i = std::hash<std::string_view>()(entry) & mask;
+    size_t i = HashText(entry) & mask;
     for (; slots_[i] != 0; i = (i + 1) & mask) {
       if (dictionary[slots_[i] - 1] == entry) return false;
     }
@@ -53,7 +92,7 @@ void StringInterner::Rehash(size_t capacity,
   slots_.assign(capacity, 0);
   const size_t mask = capacity - 1;
   for (uint32_t code = 0; code < size_; ++code) {
-    size_t i = std::hash<std::string_view>()(dictionary[code]) & mask;
+    size_t i = HashText(dictionary[code]) & mask;
     while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = code + 1;
   }

@@ -4,12 +4,15 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "common/radix_order.h"
+
 namespace mdc {
 namespace {
 
-// A string column's codes already name distinct strings: sort the
-// dictionary entries some row uses (D log D) and remap the codes to their
-// ranks (N). Entries no row uses get no code.
+// A string column's codes already name distinct strings: order the
+// dictionary entries some row uses (StringOrder, linear in D but for runs
+// of shared 8-byte prefixes) and remap the codes to their ranks (N).
+// Entries no row uses get no code.
 void EncodeStrings(const Dataset& dataset, size_t column,
                    std::vector<Value>& distinct,
                    AlignedVector<uint32_t>& codes) {
@@ -18,18 +21,18 @@ void EncodeStrings(const Dataset& dataset, size_t column,
   std::vector<uint32_t> rank(dictionary.size(), 0);
   for (uint32_t code : cells) rank[code] = 1;
   std::vector<uint32_t> present;
+  std::vector<std::string_view> entries;
   for (uint32_t code = 0; code < rank.size(); ++code) {
-    if (rank[code] != 0) present.push_back(code);
+    if (rank[code] == 0) continue;
+    present.push_back(code);
+    entries.push_back(dictionary[code]);
   }
-  std::sort(present.begin(), present.end(),
-            [&dictionary](uint32_t a, uint32_t b) {
-              return dictionary[a] < dictionary[b];
-            });
+  const std::vector<uint32_t> order = StringOrder(entries);
   distinct.clear();
   distinct.reserve(present.size());
-  for (uint32_t i = 0; i < present.size(); ++i) {
-    rank[present[i]] = i;
-    distinct.emplace_back(dictionary[present[i]]);
+  for (uint32_t i = 0; i < order.size(); ++i) {
+    rank[present[order[i]]] = i;
+    distinct.emplace_back(dictionary[present[order[i]]]);
   }
   codes.resize(cells.size());
   for (size_t row = 0; row < cells.size(); ++row) {

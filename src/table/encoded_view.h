@@ -10,10 +10,10 @@
 // Mondrian all run on this representation.
 //
 // Build costs O(N + D log D) per column rather than a sort of all N cells.
-// A string column sorts the dictionary entries its rows use and remaps its
-// codes; a numeric column is hash-first: one pass assigns each cell its
-// value's first-seen id, then only the D distinct values are sorted and
-// the ids remapped.
+// A string column orders the dictionary entries its rows use with
+// StringOrder (common/radix_order.h) and remaps its codes; a numeric
+// column is hash-first: one pass assigns each cell its value's first-seen
+// id, then only the D distinct values are sorted and the ids remapped.
 
 #ifndef MDC_TABLE_ENCODED_VIEW_H_
 #define MDC_TABLE_ENCODED_VIEW_H_

@@ -83,7 +83,8 @@ PropertyMatrix RandomMatrix(Rng& rng, size_t rows, size_t cols,
                                            : 1.0;
       }
     }
-    set.emplace_back("p" + std::to_string(r), std::move(values));
+    set.emplace_back(std::string("p").append(std::to_string(r)),
+                     std::move(values));
   }
   auto matrix = PropertyMatrix::FromSet(set);
   MDC_CHECK(matrix.ok());
@@ -417,9 +418,8 @@ TEST(ComparisonOracle, InvalidInputsAreRejected) {
             StatusCode::kInvalidArgument);
 }
 
-// CSV ingestion: round-trip fidelity, budget charging, and the cmp.read
-// failpoint (PR 1 contract: injected faults surface as clean Status).
-TEST(ComparisonOracle, FromCsvRoundTripAndFaultPaths) {
+// CSV ingestion: round-trip fidelity and budget charging.
+TEST(ComparisonOracle, FromCsvRoundTripAndBudget) {
   Rng rng(7171);
   PropertyMatrix matrix = RandomMatrix(rng, 4, 37, ValueMode::kContinuous);
   auto round_trip = PropertyMatrix::FromCsv(matrix.ToCsv());
@@ -438,7 +438,15 @@ TEST(ComparisonOracle, FromCsvRoundTripAndFaultPaths) {
   run.set_max_steps(2);
   EXPECT_EQ(PropertyMatrix::FromCsv(matrix.ToCsv(), &run).status().code(),
             StatusCode::kResourceExhausted);
+}
 
+// The cmp.read failpoint: an injected fault surfaces as a clean Status.
+TEST(ComparisonOracle, FromCsvReadFault) {
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "library built with MDC_FAILPOINTS=OFF";
+  }
+  Rng rng(7171);
+  PropertyMatrix matrix = RandomMatrix(rng, 4, 37, ValueMode::kContinuous);
   failpoint::ScopedFailpoint armed("cmp.read",
                                    Status::Internal("injected read fault"));
   auto injected = PropertyMatrix::FromCsv(matrix.ToCsv());

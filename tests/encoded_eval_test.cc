@@ -707,7 +707,8 @@ TEST(FromColumnsTest, StringColumnsMatchStringKeyedGrouping) {
     std::vector<AttributeDef> attributes;
     std::vector<Dataset::Column> data;
     for (size_t c = 0; c < 6; ++c) {
-      attributes.push_back({"s" + std::to_string(c), AttributeType::kString,
+      attributes.push_back({std::string("s").append(std::to_string(c)),
+                            AttributeType::kString,
                             AttributeRole::kQuasiIdentifier});
       std::set<std::string> entries;
       const size_t wanted = 2 + rng.NextBelow(8);
@@ -740,8 +741,10 @@ TEST(FromColumnsTest, StringColumnsMatchStringKeyedGrouping) {
     for (const std::vector<size_t>& columns :
          {std::vector<size_t>{}, std::vector<size_t>{3},
           std::vector<size_t>{5, 0, 2, 1, 4}}) {
-      SCOPED_TRACE(std::to_string(rows) + " rows, " +
-                   std::to_string(columns.size()) + " key columns");
+      SCOPED_TRACE(std::to_string(rows)
+                       .append(" rows, ")
+                       .append(std::to_string(columns.size()))
+                       .append(" key columns"));
       ExpectClasses(EquivalencePartition::FromColumns(*dataset, columns),
                     rows, StringKeyedClasses(*dataset, columns));
     }

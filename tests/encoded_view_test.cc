@@ -65,7 +65,8 @@ Dataset RandomDataset(size_t rows, int cardinality, uint64_t seed) {
     const int c = pick(rng);
     MDC_CHECK(data.AppendRow({Value(int64_t{a} * 1000003),
                               Value(b * 0.37 - 5.0),
-                              Value("v" + std::to_string(c * 7919))})
+                              Value(std::string("v").append(
+                                  std::to_string(c * 7919)))})
                   .ok());
   }
   return data;

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "datagen/census_generator.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
@@ -112,6 +118,75 @@ TEST(MondrianTest, ClassSpreadLossComputable) {
   }
   // LossMetric must refuse (no scheme).
   EXPECT_FALSE(LossMetric::PerTupleLoss(result->anonymization).ok());
+}
+
+// Labels that share their first eight bytes — zip ranges such as
+// "[60596..60612]" and "[60596..60644]", or occupations "occupation-c" and
+// "occupation-f" — key alike in the class order's StringOrder, which
+// finishes such runs by comparing the labels. The classes must still come
+// in label order: each class one label tuple, the tuples strictly
+// ascending as vectors of std::string.
+TEST(MondrianTest, ClassesInLabelOrderWhenLabelsSharePrefixes) {
+  auto schema = Schema::Create(
+      {{"age", AttributeType::kInt, AttributeRole::kQuasiIdentifier},
+       {"zip", AttributeType::kString, AttributeRole::kQuasiIdentifier},
+       {"occupation", AttributeType::kString,
+        AttributeRole::kQuasiIdentifier},
+       {"disease", AttributeType::kString, AttributeRole::kSensitive}});
+  ASSERT_TRUE(schema.ok());
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    auto data = std::make_shared<Dataset>(*schema);
+    for (int r = 0; r < 600; ++r) {
+      ASSERT_TRUE(data->AppendRow({Value(int64_t{20} + rng.NextInt(0, 50)),
+                                   Value(std::string("60").append(
+                                       std::to_string(
+                                           596 + rng.NextBelow(104)))),
+                                   Value(std::string("occupation-") +
+                                         static_cast<char>('a' +
+                                                           rng.NextBelow(8))),
+                                   Value(std::string("d").append(
+                                       std::to_string(rng.NextBelow(3))))})
+                      .ok());
+    }
+    for (int k : {2, 3, 5}) {
+      MondrianConfig config;
+      config.k = k;
+      auto result = MondrianAnonymize(data, config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const Anonymization& anonymization = result->anonymization;
+      // Some zip ranges do share their first eight bytes.
+      std::vector<std::string> ranges;
+      for (const std::string& label : anonymization.release.dictionary(1)) {
+        if (label.front() == '[') ranges.push_back(label.substr(0, 8));
+      }
+      std::sort(ranges.begin(), ranges.end());
+      EXPECT_NE(std::adjacent_find(ranges.begin(), ranges.end()),
+                ranges.end())
+          << "seed " << seed << " k " << k;
+      auto labels = [&anonymization](size_t row) {
+        std::vector<std::string> tuple;
+        for (size_t column : anonymization.qi_columns) {
+          tuple.push_back(anonymization.release.cell(row, column).AsString());
+        }
+        return tuple;
+      };
+      std::vector<std::string> previous;
+      size_t rows = 0;
+      for (size_t c = 0; c < result->partition.class_count(); ++c) {
+        const ClassSpan members = result->partition.class_members(c);
+        const std::vector<std::string> tuple = labels(members[0]);
+        for (size_t row : members) ASSERT_EQ(labels(row), tuple);
+        if (c > 0) {
+          ASSERT_LT(previous, tuple)
+              << "seed " << seed << " k " << k << " class " << c;
+        }
+        previous = tuple;
+        rows += members.size();
+      }
+      EXPECT_EQ(rows, data->row_count());
+    }
+  }
 }
 
 TEST(MondrianTest, ErrorsOnBadInput) {

@@ -341,7 +341,7 @@ std::shared_ptr<const Dataset> PerturbData() {
     std::vector<AttributeDef> attributes;
     for (int c = 0; c < 6; ++c) {
       AttributeDef attr;
-      attr.name = "c" + std::to_string(c);
+      attr.name = std::string("c").append(std::to_string(c));
       attr.type = AttributeType::kReal;
       attr.role = AttributeRole::kQuasiIdentifier;
       attributes.push_back(attr);

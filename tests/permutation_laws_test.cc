@@ -72,7 +72,7 @@ std::shared_ptr<const Dataset> NumericData(size_t rows, size_t cols,
     for (size_t c = 0; c < cols; ++c) {
       row.emplace_back(rng.NextDouble() * 1000.0);
     }
-    row.emplace_back("s" + std::to_string(r % 3));
+    row.emplace_back(std::string("s").append(std::to_string(r % 3)));
     MDC_CHECK(data.AppendRow(std::move(row)).ok());
   }
   return std::make_shared<const Dataset>(std::move(data));
@@ -271,6 +271,57 @@ TEST(PermutationLawsTest, PerturbAnonymizeDeterministicPerConfig) {
                 reseeded->anonymization.release.ToCsv());
     }
   }
+}
+
+// The models of several releases of one dataset share its original
+// orders (OriginalOrders): the first build ranks each original column into
+// its slot, later builds read the slot instead of ranking again, and every
+// model equals the one built without sharing.
+TEST(PermutationLawsTest, SharedOriginalOrdersRankEachColumnOnce) {
+  auto data = NumericData(300, 3, 21);
+  OriginalOrders originals;
+  PermutationMetricsOptions threaded;  // Each attribute fills its own slot.
+  threaded.threads = 3;
+  for (const char* mechanism : {"noise", "rankswap", "microagg"}) {
+    SCOPED_TRACE(mechanism);
+    PerturbConfig config;
+    auto parsed = ParsePerturbMechanism(mechanism);
+    ASSERT_TRUE(parsed.ok());
+    config.mechanism = *parsed;
+    auto release = PerturbAnonymize(data, config);
+    ASSERT_TRUE(release.ok()) << release.status().ToString();
+    auto shared = PermutationModelFor(release->anonymization, nullptr,
+                                      threaded, nullptr, &originals);
+    auto alone = PermutationModelFor(release->anonymization, nullptr);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    ASSERT_TRUE(alone.ok());
+    ASSERT_EQ(shared->attributes.size(), alone->attributes.size());
+    for (size_t a = 0; a < alone->attributes.size(); ++a) {
+      EXPECT_EQ(shared->attributes[a].original_ranks,
+                alone->attributes[a].original_ranks);
+      EXPECT_EQ(shared->attributes[a].permutation,
+                alone->attributes[a].permutation);
+      EXPECT_EQ(shared->attributes[a].rank_distance,
+                alone->attributes[a].rank_distance);
+    }
+    EXPECT_EQ(shared->privacy.values(), alone->privacy.values());
+  }
+  ASSERT_EQ(originals.row_of_rank.size(), 3u);
+  for (size_t a = 0; a < 3; ++a) {
+    EXPECT_EQ(originals.row_of_rank[a], StableOrder(data->Numbers(a)));
+  }
+  // A filled slot is read, not ranked again: a planted order comes back
+  // as the model's original ranks (the identity order ranks as itself).
+  std::vector<uint32_t> planted(300);
+  std::iota(planted.begin(), planted.end(), 0u);
+  originals.row_of_rank[1] = planted;
+  auto release = PerturbAnonymize(data, PerturbConfig{});
+  ASSERT_TRUE(release.ok());
+  auto model = PermutationModelFor(release->anonymization, nullptr, {},
+                                   nullptr, &originals);
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->attributes[1].original_ranks, planted);
+  EXPECT_NE(model->attributes[0].original_ranks, planted);
 }
 
 // Budget expiry returns the budget error (never a partial release), the

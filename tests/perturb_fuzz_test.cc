@@ -36,7 +36,7 @@ std::string RandomToken(Rng& rng, size_t max_len) {
 std::string RandomValueToken(Rng& rng) {
   switch (rng.NextBelow(6)) {
     case 0: return std::to_string(static_cast<int64_t>(rng.NextBelow(1u << 30)));
-    case 1: return "-" + std::to_string(rng.NextBelow(1000));
+    case 1: return std::string("-").append(std::to_string(rng.NextBelow(1000)));
     case 2: return std::to_string(rng.NextDouble());
     case 3: return "nan";
     case 4: return "1e" + std::to_string(rng.NextBelow(400));
@@ -90,9 +90,10 @@ TEST(PerturbFuzzTest, SubmitSpecWithPerturbKindNeverCrashes) {
     line += " kind=perturb";
     size_t extras = rng.NextBelow(5);
     for (size_t e = 0; e < extras; ++e) {
-      line += " " + RandomToken(rng, 10) + "=" + RandomValueToken(rng);
+      line.append(" ").append(RandomToken(rng, 10)).append("=").append(
+          RandomValueToken(rng));
     }
-    if (rng.NextBelow(4) == 0) line += " " + RandomToken(rng, 20);
+    if (rng.NextBelow(4) == 0) line.append(" ").append(RandomToken(rng, 20));
     auto spec = service::ParseSubmitSpec(line);
     if (spec.ok()) {
       ++accepted;

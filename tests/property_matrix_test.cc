@@ -26,7 +26,8 @@ PropertySet MakeSet(size_t rows, size_t cols) {
     for (size_t c = 0; c < cols; ++c) {
       values[c] = static_cast<double>(r * cols + c) * 0.5;
     }
-    set.emplace_back("p" + std::to_string(r), std::move(values));
+    set.emplace_back(std::string("p").append(std::to_string(r)),
+                     std::move(values));
   }
   return set;
 }
@@ -80,7 +81,8 @@ TEST(EncodedViewAlignment, CodeColumnsAreCacheAligned) {
   Dataset dataset(*schema);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(dataset
-                    .AppendRow({Value("z" + std::to_string(i % 7)),
+                    .AppendRow({Value(std::string("z").append(
+                                    std::to_string(i % 7))),
                                 Value(static_cast<int64_t>(20 + i % 13))})
                     .ok());
   }

@@ -359,7 +359,7 @@ TEST(RobustnessTest, PropertyMatrixFromCsvRejectsMalformedInputs) {
 TEST(RobustnessTest, PropertyMatrixFromCsvHonorsBudgetsAndCancellation) {
   std::string csv;
   for (int r = 0; r < 16; ++r) {
-    csv += "p" + std::to_string(r) + ",1,2,3\n";
+    csv.append("p").append(std::to_string(r)).append(",1,2,3\n");
   }
   // One budget step per row.
   RunContext steps;

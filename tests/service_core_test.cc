@@ -229,7 +229,8 @@ TEST(AdmissionQueueTest, ShedsDeterministicallyFromArrivalOrderAlone) {
     AdmissionQueue queue(config);
     std::vector<AdmitDecision> decisions;
     for (int i = 0; i < 5; ++i) {
-      decisions.push_back(queue.Admit(Spec("j" + std::to_string(i))));
+      decisions.push_back(
+          queue.Admit(Spec(std::string("j").append(std::to_string(i)))));
       if (drain_between) queue.Dequeue();  // Worker racing ahead.
     }
     EXPECT_EQ(decisions[0], AdmitDecision::kAdmitted);
@@ -591,13 +592,15 @@ TEST(ServiceCoreTest, ShedDecisionsIndependentOfWorkerSpeed) {
     MDC_CHECK(core.ok());
     std::vector<std::string> decisions;
     for (int i = 0; i < 6; ++i) {
-      auto decision = (*core)->Submit(Spec("s" + std::to_string(i)));
+      auto decision =
+          (*core)->Submit(Spec(std::string("s").append(std::to_string(i))));
       MDC_CHECK(decision.ok());
       decisions.push_back(AdmitDecisionName(*decision));
     }
     (*core)->WaitIdle();
     for (int i = 6; i < 9; ++i) {
-      auto decision = (*core)->Submit(Spec("s" + std::to_string(i)));
+      auto decision =
+          (*core)->Submit(Spec(std::string("s").append(std::to_string(i))));
       MDC_CHECK(decision.ok());
       decisions.push_back(AdmitDecisionName(*decision));
     }

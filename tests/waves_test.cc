@@ -171,12 +171,12 @@ TEST(WavesTest, OneThreadInterleavesItemByItem) {
   Status status = RunWaves(
       pool, position, 4,
       [&](size_t i) -> StatusOr<WaveAdmit> {
-        trace.push_back("a" + std::to_string(i));
+        trace.push_back(std::string("a").append(std::to_string(i)));
         return i == 1 ? WaveAdmit::kSkip : WaveAdmit::kRun;
       },
       [&](size_t i) { return i; },
       [&](size_t i, size_t) -> Status {
-        trace.push_back("c" + std::to_string(i));
+        trace.push_back(std::string("c").append(std::to_string(i)));
         return Status::Ok();
       });
   EXPECT_TRUE(status.ok());
